@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "analyze/verify.hpp"
 
 #include "cdecl/cdecl.hpp"
+#include "runtime/perfmodel.hpp"
 #include "support/error.hpp"
 #include "support/fs.hpp"
-#include "support/strings.hpp"
 
 namespace peppher::analyze {
 
@@ -342,100 +341,71 @@ void check_feasibility(const desc::Repository& repo, const LintOptions& options,
 }
 
 // ---------------------------------------------------------------------------
-// PL020..PL027 — dispatch-table coverage
+// PL020, PL025..PL027 — dispatch-table coverage
 // ---------------------------------------------------------------------------
 
+/// Checks one "peppher-dispatch v1" table (rt::DispatchTable): every
+/// (codelet, architecture) it votes for must name an interface with an
+/// enabled implementation of that architecture. One finding per pair,
+/// however many footprints and program points recorded it.
 void check_dispatch_file(const desc::Repository& repo,
                          const std::filesystem::path& path,
                          const LintOptions& options, DiagnosticBag& bag) {
-  const std::string iface_name = path.stem().string();
-  const bool iface_known = repo.find_interface(iface_name) != nullptr;
-  if (!iface_known) {
-    bag.add("PL025", Severity::kWarning,
-            "dispatch table '" + path.filename().string() +
-                "' matches no interface in the repository",
-            SourceLocation{path.string(), 0, 0});
+  const SourceLocation loc{path.string(), 0, 0};
+  rt::DispatchTable table;
+  try {
+    table.deserialize(fs::read_file(path));
+  } catch (const ParseError& e) {
+    bag.add("PL000", Severity::kError, e.what(),
+            SourceLocation{path.string(), e.line(), e.column()});
+    return;
   }
-
-  struct Entry {
-    std::size_t upper_bytes = 0;
-    std::string variant;
-    std::string arch;
-    int line = 0;
-  };
-  std::vector<Entry> entries;
-  std::istringstream in(fs::read_file(path));
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string trimmed(strings::trim(line));
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    std::istringstream fields(trimmed);
-    Entry e;
-    e.line = line_no;
-    if (!(fields >> e.upper_bytes >> e.variant)) continue;
-    fields >> e.arch;  // optional third column
-    entries.push_back(std::move(e));
+  const std::string name = "dispatch table '" + path.filename().string() + "'";
+  std::map<std::pair<std::string, rt::Arch>, std::uint64_t> votes;
+  for (const rt::DispatchTable::Entry& entry : table.entries()) {
+    votes[{entry.codelet, entry.arch}] += entry.count;
   }
-
-  if (entries.empty()) {
+  if (votes.empty()) {
     bag.add("PL027", Severity::kWarning,
-            "dispatch table '" + path.filename().string() +
-                "' is empty — training produced no usable data "
-                "(training-data hole)",
-            SourceLocation{path.string(), 0, 0});
+            name + " has no entries — training produced no usable data "
+                   "(training-data hole)",
+            loc);
     return;
   }
 
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    const SourceLocation loc{path.string(), e.line, 0};
-    const desc::ImplementationDescriptor* impl =
-        repo.find_implementation(e.variant);
-    if (impl == nullptr) {
-      bag.add("PL020", Severity::kError,
-              "dispatch table '" + path.filename().string() +
-                  "' selects unknown implementation '" + e.variant + "'",
-              loc);
-    } else {
-      if (iface_known && impl->interface_name != iface_name) {
-        bag.add("PL021", Severity::kError,
-                "dispatch table '" + path.filename().string() +
-                    "' selects '" + e.variant + "', an implementation of '" +
-                    impl->interface_name + "', not of '" + iface_name + "'",
+  std::set<std::string> orphans;
+  for (const auto& [key, count] : votes) {
+    const auto& [codelet, arch] = key;
+    if (repo.find_interface(codelet) == nullptr) {
+      if (orphans.insert(codelet).second) {
+        bag.add("PL025", Severity::kWarning,
+                name + " has entries for codelet '" + codelet +
+                    "', which names no interface in the repository",
                 loc);
       }
-      if (!e.arch.empty() && e.arch != rt::to_string(impl->arch())) {
-        bag.add("PL024", Severity::kError,
-                "dispatch entry for '" + e.variant + "' records architecture '" +
-                    e.arch + "' but the variant is '" +
-                    rt::to_string(impl->arch()) + "' — stale training data",
-                loc);
-      }
-      if (is_disabled(*impl, repo, options)) {
-        bag.add("PL026", Severity::kWarning,
-                "dispatch table '" + path.filename().string() +
-                    "' selects disabled implementation '" + e.variant +
-                    "' (unreachable branch)",
-                loc);
-      }
+      continue;
     }
-    if (i > 0) {
-      if (e.upper_bytes <= entries[i - 1].upper_bytes) {
-        bag.add("PL022", Severity::kError,
-                "dispatch entry with upper bound " +
-                    std::to_string(e.upper_bytes) +
-                    " is unreachable after bound " +
-                    std::to_string(entries[i - 1].upper_bytes),
-                loc);
-      }
-      if (e.variant == entries[i - 1].variant) {
-        bag.add("PL023", Severity::kWarning,
-                "adjacent dispatch entries both select '" + e.variant +
-                    "'; the table is not compacted",
-                loc);
-      }
+    const std::string vote = name + " selects '" + rt::to_string(arch) +
+                             "' for '" + codelet + "' (" +
+                             std::to_string(count) + " vote(s))";
+    bool any = false;
+    bool enabled = false;
+    for (const desc::ImplementationDescriptor* impl :
+         repo.implementations_of(codelet)) {
+      if (impl->arch() != arch) continue;
+      any = true;
+      enabled = enabled || !is_disabled(*impl, repo, options);
+    }
+    if (!any) {
+      bag.add("PL020", Severity::kError,
+              vote + ", but the interface has no " + rt::to_string(arch) +
+                  " implementation",
+              loc);
+    } else if (!enabled) {
+      bag.add("PL026", Severity::kWarning,
+              vote + ", but every " + rt::to_string(arch) +
+                  " implementation is disabled (unreachable branch)",
+              loc);
     }
   }
 }

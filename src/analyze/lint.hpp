@@ -14,9 +14,10 @@
 //   * platform feasibility (PL010..PL013): variants whose backend no
 //     platform descriptor (or target machine) provides, and components left
 //     with zero viable variants after disableImpls narrowing;
-//   * dispatch-table coverage (PL020..PL027): "<interface>.dispatch" files
-//     next to the descriptors are checked for unknown/disabled variants,
-//     unreachable entries, stale architectures and empty (untrained) tables;
+//   * dispatch-table coverage (PL020, PL025..PL027): ".dispatch" files
+//     next to the descriptors (the runtime's "peppher-dispatch v1" tables)
+//     are checked for codelets that name no interface, architectures with
+//     no enabled implementation, and empty (untrained) tables;
 //   * task-graph hazard analysis (PL030..PL036): the main module's declared
 //     <calls> sequence is executed symbolically; write/write and read/write
 //     conflicts that the declared access modes would let the runtime
@@ -51,8 +52,8 @@ struct LintOptions {
   /// signatures. Disable for descriptor-only linting.
   bool check_sources = true;
 
-  /// Directory scanned for "<interface>.dispatch" files (set by lint_path;
-  /// empty skips the dispatch checks).
+  /// Directory scanned for ".dispatch" files (set by lint_path; empty
+  /// skips the dispatch checks).
   std::filesystem::path root;
 
   /// Run the coherence verifier (analyze/verify.hpp, PL060..PL069) even for

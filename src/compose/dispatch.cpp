@@ -1,97 +1,39 @@
 #include "compose/dispatch.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <set>
-#include <sstream>
-
-#include "support/error.hpp"
-#include "support/strings.hpp"
 
 namespace peppher::compose {
 
-DispatchTable DispatchTable::build(const ComponentNode& component,
+rt::DispatchTable predict_dispatch(const ComponentNode& component,
                                    const std::vector<std::size_t>& scenario_bytes,
                                    const Predictor& predict) {
-  std::vector<std::size_t> sizes = scenario_bytes;
-  std::sort(sizes.begin(), sizes.end());
-  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-
-  DispatchTable table;
-  for (std::size_t bytes : sizes) {
-    const VariantNode* best = nullptr;
+  rt::DispatchTable table;
+  for (std::size_t bytes : scenario_bytes) {
+    std::optional<rt::Arch> best;
     double best_seconds = std::numeric_limits<double>::infinity();
     for (const VariantNode* variant : component.enabled_variants()) {
-      const std::optional<double> seconds = predict(*variant, bytes);
+      const std::optional<double> seconds = predict(variant->arch(), bytes);
       if (seconds.has_value() && *seconds < best_seconds) {
-        best = variant;
+        best = variant->arch();
         best_seconds = *seconds;
       }
     }
-    if (best == nullptr) continue;  // nothing predictable at this size
-    if (!table.entries_.empty() &&
-        table.entries_.back().variant == best->descriptor.name) {
-      // Compaction: extend the previous run instead of adding an entry.
-      table.entries_.back().upper_bytes = bytes;
-    } else {
-      table.entries_.push_back(
-          DispatchEntry{bytes, best->descriptor.name, best->arch()});
-    }
+    if (best.has_value()) table.train(component.interface.name, 0, -1, *best);
   }
+  table.finalize();
   return table;
 }
 
-const DispatchEntry* DispatchTable::lookup(std::size_t bytes) const {
-  for (const DispatchEntry& entry : entries_) {
-    if (bytes <= entry.upper_bytes) return &entry;
+int narrow_with_table(ComponentNode& component, const rt::DispatchTable& table) {
+  std::set<rt::Arch> voted;
+  for (const rt::DispatchTable::Entry& entry : table.entries()) {
+    if (entry.codelet == component.interface.name) voted.insert(entry.arch);
   }
-  return entries_.empty() ? nullptr : &entries_.back();
-}
-
-std::vector<std::string> DispatchTable::variants_used() const {
-  std::vector<std::string> out;
-  for (const DispatchEntry& entry : entries_) {
-    if (std::find(out.begin(), out.end(), entry.variant) == out.end()) {
-      out.push_back(entry.variant);
-    }
-  }
-  return out;
-}
-
-std::string DispatchTable::serialize() const {
-  std::ostringstream out;
-  for (const DispatchEntry& entry : entries_) {
-    out << entry.upper_bytes << ' ' << entry.variant << ' '
-        << rt::to_string(entry.arch) << '\n';
-  }
-  return std::move(out).str();
-}
-
-DispatchTable DispatchTable::deserialize(std::string_view text) {
-  DispatchTable table;
-  for (const std::string& line : strings::split(text, '\n')) {
-    const auto fields = strings::split_whitespace(line);
-    if (fields.empty()) continue;
-    if (fields.size() != 3) {
-      throw ParseError("bad dispatch-table line: '" + line + "'");
-    }
-    DispatchEntry entry;
-    entry.upper_bytes =
-        static_cast<std::size_t>(strings::to_int(fields[0]).value_or(0));
-    entry.variant = fields[1];
-    entry.arch = rt::parse_arch(fields[2]);
-    table.entries_.push_back(std::move(entry));
-  }
-  return table;
-}
-
-int narrow_with_table(ComponentNode& component, const DispatchTable& table) {
-  if (table.empty()) return 0;
-  const std::vector<std::string> used = table.variants_used();
-  const std::set<std::string> keep(used.begin(), used.end());
+  if (voted.empty()) return 0;
   int disabled = 0;
   for (VariantNode& variant : component.variants) {
-    if (variant.enabled && keep.count(variant.descriptor.name) == 0) {
+    if (variant.enabled && voted.count(variant.arch()) == 0) {
       variant.enabled = false;
       variant.disabled_reason = "never selected by the static dispatch table";
       ++disabled;
@@ -100,41 +42,11 @@ int narrow_with_table(ComponentNode& component, const DispatchTable& table) {
   return disabled;
 }
 
-sim::DeviceProfile profile_for_arch(const sim::MachineConfig& machine,
-                                    rt::Arch arch) {
-  switch (arch) {
-    case rt::Arch::kCpu:
-      check(machine.cpu_cores > 0, "machine has no CPU cores");
-      return machine.cpu_core;
-    case rt::Arch::kCpuOmp: {
-      check(machine.cpu_cores > 0, "machine has no CPU cores");
-      sim::DeviceProfile p = machine.cpu_core;
-      p.name += "-combined";
-      p.peak_gflops *= machine.cpu_cores * 0.90;
-      p.mem_bandwidth_gbs *= machine.cpu_cores;
-      return p;
-    }
-    case rt::Arch::kCuda:
-    case rt::Arch::kOpenCl: {
-      const sim::DeviceClass wanted = arch == rt::Arch::kCuda
-                                          ? sim::DeviceClass::kCudaGpu
-                                          : sim::DeviceClass::kOpenClGpu;
-      for (const auto& accel : machine.accelerators) {
-        if (accel.device_class == wanted) return accel;
-      }
-      throw Error(ErrorCode::kNotFound,
-                  "machine '" + machine.name + "' has no " + rt::to_string(arch) +
-                      " device");
-    }
-  }
-  throw Error(ErrorCode::kInternal, "unreachable arch");
-}
-
 Predictor history_predictor(const rt::PerfRegistry& registry,
                             const std::string& component_name) {
-  return [&registry, component_name](const VariantNode& variant,
+  return [&registry, component_name](rt::Arch arch,
                                      std::size_t bytes) -> std::optional<double> {
-    return registry.regression_estimate(component_name, variant.arch(), bytes);
+    return registry.regression_estimate(component_name, arch, bytes);
   };
 }
 

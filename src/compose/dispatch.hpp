@@ -2,14 +2,13 @@
 // Kessler/Löwe [7]): when sufficient performance prediction metadata is
 // available (prediction functions, cost models, or training-run history),
 // the tool evaluates the predictions for selected context scenarios and
-// constructs a dispatch table mapping context size to the expected best
-// variant. Adjacent scenarios choosing the same variant are merged
-// (decision-list compaction — the paper's "compacted by machine learning
-// techniques" in its simplest effective form).
+// records each scenario's expected-best architecture as a vote in the
+// runtime's dispatch table (rt::DispatchTable, the "peppher-dispatch v1"
+// artifact the engine replays and peppher-lint checks).
 //
-// Multi-stage composition: a table that still contains several variants
-// *narrows* the candidate set (the runtime takes the final choice); a table
-// with a single variant pins the choice entirely.
+// Multi-stage composition: a table that still votes for several
+// architectures *narrows* the candidate set (the runtime takes the final
+// choice); a table with a single architecture pins the choice entirely.
 #pragma once
 
 #include <cstddef>
@@ -23,60 +22,29 @@
 
 namespace peppher::compose {
 
-/// Predicts the execution time in seconds of `variant` for a call context
-/// with `bytes` total operand footprint; nullopt when nothing is known.
+/// Predicts the execution time in seconds of a variant of architecture
+/// `arch` for a call context with `bytes` total operand footprint; nullopt
+/// when nothing is known.
 using Predictor =
-    std::function<std::optional<double>(const VariantNode& variant, std::size_t bytes)>;
+    std::function<std::optional<double>(rt::Arch arch, std::size_t bytes)>;
 
-/// One decision of a dispatch table: contexts with total operand footprint
-/// <= upper_bytes select `variant`.
-struct DispatchEntry {
-  std::size_t upper_bytes = 0;
-  std::string variant;
-  rt::Arch arch = rt::Arch::kCpu;
-};
+/// Builds the finalized dispatch table of `component`: each scenario casts
+/// one vote for the architecture of the enabled variant with the lowest
+/// prediction. Votes go to footprint 0 and point -1 (any footprint, any
+/// program point) because scenario byte counts are not the runtime's hashed
+/// footprints. Scenarios with no predictable variant cast no vote, so the
+/// table is empty if nothing was predictable.
+rt::DispatchTable predict_dispatch(const ComponentNode& component,
+                                   const std::vector<std::size_t>& scenario_bytes,
+                                   const Predictor& predict);
 
-/// A per-component dispatch table (ascending by upper_bytes; the last entry
-/// also covers larger contexts).
-class DispatchTable {
- public:
-  /// Builds a table for `component` by evaluating `predict` at each scenario
-  /// size (ascending) and compacting runs of equal winners. Scenario sizes
-  /// with no predictable variant are skipped. The result is empty if nothing
-  /// was predictable.
-  static DispatchTable build(const ComponentNode& component,
-                             const std::vector<std::size_t>& scenario_bytes,
-                             const Predictor& predict);
-
-  /// The chosen variant for a context footprint, or nullptr if the table is
-  /// empty.
-  const DispatchEntry* lookup(std::size_t bytes) const;
-
-  bool empty() const noexcept { return entries_.empty(); }
-  const std::vector<DispatchEntry>& entries() const noexcept { return entries_; }
-
-  /// Distinct variants appearing in the table.
-  std::vector<std::string> variants_used() const;
-
-  /// Text form: "upper_bytes variant arch" lines (round-trips with
-  /// deserialize).
-  std::string serialize() const;
-  static DispatchTable deserialize(std::string_view text);
-
- private:
-  std::vector<DispatchEntry> entries_;
-};
-
-/// Disables every variant of `component` that the table never selects
-/// (user-transparent static narrowing from training data). No-op for empty
-/// tables. Returns the number of variants disabled.
-int narrow_with_table(ComponentNode& component, const DispatchTable& table);
-
-/// Device profile a variant of the given architecture executes on, within
-/// `machine` (combined-CPU profile for kCpuOmp). Throws if the machine
-/// lacks the architecture.
-sim::DeviceProfile profile_for_arch(const sim::MachineConfig& machine,
-                                    rt::Arch arch);
+/// Disables every enabled variant of `component` whose architecture has no
+/// vote for `component.interface.name` in the table (user-transparent
+/// static narrowing from training data). The runtime runs the first enabled
+/// variant of an architecture, so keeping architectures decides the same
+/// choice as keeping variants. No-op when the table has no votes for the
+/// component. Returns the number of variants disabled.
+int narrow_with_table(ComponentNode& component, const rt::DispatchTable& table);
 
 /// Predictor backed by recorded training history (regression over the
 /// recorded sizes of the component's interface, per architecture).

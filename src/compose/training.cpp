@@ -80,16 +80,14 @@ TrainingReport train_component(rt::Engine& engine, const rt::Codelet& codelet,
   return report;
 }
 
-DispatchTable train_and_build_table(rt::Engine& engine,
-                                    ComponentNode& component,
-                                    const rt::Codelet& codelet,
-                                    const TrainingTaskFactory& factory,
-                                    const std::vector<std::size_t>& scenarios,
-                                    int repeats) {
+rt::DispatchTable train_and_build_table(
+    rt::Engine& engine, ComponentNode& component, const rt::Codelet& codelet,
+    const TrainingTaskFactory& factory,
+    const std::vector<std::size_t>& scenarios, int repeats) {
   const TrainingReport report =
       train_component(engine, codelet, factory, scenarios, repeats);
-  return DispatchTable::build(component, report.scenario_bytes(),
-                              history_predictor(engine.perf(), codelet.name()));
+  return predict_dispatch(component, report.scenario_bytes(),
+                          history_predictor(engine.perf(), codelet.name()));
 }
 
 }  // namespace peppher::compose

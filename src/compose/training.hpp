@@ -38,7 +38,7 @@ struct TrainingReport {
   std::vector<TrainingSample> samples;
 
   /// Scenario footprints (bytes) seen during training — the natural
-  /// scenario set for DispatchTable::build.
+  /// scenario set for predict_dispatch.
   std::vector<std::size_t> scenario_bytes() const;
 };
 
@@ -52,13 +52,11 @@ TrainingReport train_component(rt::Engine& engine, const rt::Codelet& codelet,
                                const std::vector<std::size_t>& scenarios,
                                int repeats = 3);
 
-/// Convenience: train, then build the dispatch table from the recorded
-/// history at the training scenarios' footprints.
-DispatchTable train_and_build_table(rt::Engine& engine,
-                                    ComponentNode& component,
-                                    const rt::Codelet& codelet,
-                                    const TrainingTaskFactory& factory,
-                                    const std::vector<std::size_t>& scenarios,
-                                    int repeats = 3);
+/// Convenience: train, then build the finalized dispatch table from the
+/// recorded history at the training scenarios' footprints.
+rt::DispatchTable train_and_build_table(
+    rt::Engine& engine, ComponentNode& component, const rt::Codelet& codelet,
+    const TrainingTaskFactory& factory,
+    const std::vector<std::size_t>& scenarios, int repeats = 3);
 
 }  // namespace peppher::compose

@@ -1,6 +1,6 @@
-// Static-composition dispatch-table tests: construction from predictions,
-// compaction, lookup, serialisation, narrowing, and the history-backed
-// predictor.
+// Static-composition dispatch-table tests: building the runtime's
+// rt::DispatchTable from predictions (one vote per scenario), lookup,
+// serialisation, narrowing, and the history-backed predictor.
 #include <gtest/gtest.h>
 
 #include "compose/dispatch.hpp"
@@ -28,74 +28,100 @@ ComponentNode make_component() {
 
 /// CPU: 1 ns/byte. CUDA: 100 us + 0.01 ns/byte => crossover at ~101 KB.
 Predictor crossover_predictor() {
-  return [](const VariantNode& variant, std::size_t bytes) -> std::optional<double> {
-    if (variant.arch() == rt::Arch::kCpu) return 1e-9 * static_cast<double>(bytes);
+  return [](rt::Arch arch, std::size_t bytes) -> std::optional<double> {
+    if (arch == rt::Arch::kCpu) return 1e-9 * static_cast<double>(bytes);
     return 100e-6 + 1e-11 * static_cast<double>(bytes);
   };
 }
 
-TEST(DispatchTable, PicksWinnerPerScenarioAndCompacts) {
-  const ComponentNode node = make_component();
-  const DispatchTable table = DispatchTable::build(
-      node, {1'000, 10'000, 100'000, 1'000'000, 10'000'000}, crossover_predictor());
-  // Three small sizes choose CPU (merged into one entry), two large choose
-  // CUDA (merged into one entry).
-  ASSERT_EQ(table.entries().size(), 2u);
-  EXPECT_EQ(table.entries()[0].variant, "kernel_cpu");
-  EXPECT_EQ(table.entries()[0].upper_bytes, 100'000u);
-  EXPECT_EQ(table.entries()[1].variant, "kernel_cuda");
-  EXPECT_EQ(table.entries()[1].arch, rt::Arch::kCuda);
+/// The any-footprint, any-point probe every replayed task falls back to.
+std::optional<rt::Arch> wildcard_choice(const rt::DispatchTable& table) {
+  return table.lookup(rt::DispatchTable::key("kernel", 0, -1));
 }
 
-TEST(DispatchTable, LookupSelectsByFootprint) {
+TEST(DispatchTable, PicksWinnerPerScenarioAndCompacts) {
   const ComponentNode node = make_component();
-  const DispatchTable table = DispatchTable::build(
-      node, {1'000, 100'000, 10'000'000}, crossover_predictor());
-  EXPECT_EQ(table.lookup(500)->variant, "kernel_cpu");
-  EXPECT_EQ(table.lookup(100'000)->variant, "kernel_cpu");
-  EXPECT_EQ(table.lookup(5'000'000)->variant, "kernel_cuda");
-  // Beyond the largest scenario the last entry still applies.
-  EXPECT_EQ(table.lookup(1'000'000'000)->variant, "kernel_cuda");
+  const rt::DispatchTable table = predict_dispatch(
+      node, {1'000, 10'000, 100'000, 1'000'000, 10'000'000}, crossover_predictor());
+  // Three small sizes vote CPU, two large vote CUDA; votes for the same
+  // architecture collapse into one counted entry.
+  const auto entries = table.entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].codelet, "kernel");
+  EXPECT_EQ(entries[0].arch, rt::Arch::kCpu);
+  EXPECT_EQ(entries[0].count, 3u);
+  EXPECT_EQ(entries[1].arch, rt::Arch::kCuda);
+  EXPECT_EQ(entries[1].count, 2u);
+  for (const auto& entry : entries) {
+    EXPECT_EQ(entry.footprint, 0u);
+    EXPECT_EQ(entry.point, -1);
+  }
+}
+
+TEST(DispatchTable, LookupResolvesTheMajorityArchitecture) {
+  const ComponentNode node = make_component();
+  // The table comes back finalized: replay lookups work immediately.
+  EXPECT_EQ(wildcard_choice(predict_dispatch(node, {1'000, 100'000, 10'000'000},
+                                             crossover_predictor())),
+            rt::Arch::kCpu);
+  EXPECT_EQ(wildcard_choice(predict_dispatch(node, {1'000, 10'000'000, 100'000'000},
+                                             crossover_predictor())),
+            rt::Arch::kCuda);
+  // Other codelets miss, so the runtime falls back to dynamic selection.
+  const rt::DispatchTable table =
+      predict_dispatch(node, {1'000}, crossover_predictor());
+  EXPECT_FALSE(table.lookup(rt::DispatchTable::key("other", 0, -1)).has_value());
 }
 
 TEST(DispatchTable, EmptyWhenNothingPredictable) {
   const ComponentNode node = make_component();
-  const DispatchTable table = DispatchTable::build(
-      node, {100, 200},
-      [](const VariantNode&, std::size_t) { return std::nullopt; });
+  const rt::DispatchTable table = predict_dispatch(
+      node, {100, 200}, [](rt::Arch, std::size_t) { return std::nullopt; });
   EXPECT_TRUE(table.empty());
-  EXPECT_EQ(table.lookup(100), nullptr);
+  EXPECT_FALSE(wildcard_choice(table).has_value());
 }
 
 TEST(DispatchTable, SkipsDisabledVariants) {
   ComponentNode node = make_component();
   node.variants[0].enabled = false;  // CPU gone
-  const DispatchTable table =
-      DispatchTable::build(node, {1'000}, crossover_predictor());
-  ASSERT_EQ(table.entries().size(), 1u);
-  EXPECT_EQ(table.entries()[0].variant, "kernel_cuda");
+  const rt::DispatchTable table =
+      predict_dispatch(node, {1'000}, crossover_predictor());
+  const auto entries = table.entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].arch, rt::Arch::kCuda);
 }
 
 TEST(DispatchTable, SerializeRoundTrip) {
   const ComponentNode node = make_component();
-  const DispatchTable table = DispatchTable::build(
-      node, {1'000, 10'000'000}, crossover_predictor());
-  const DispatchTable copy = DispatchTable::deserialize(table.serialize());
-  ASSERT_EQ(copy.entries().size(), table.entries().size());
-  EXPECT_EQ(copy.entries()[0].variant, table.entries()[0].variant);
-  EXPECT_EQ(copy.entries()[0].upper_bytes, table.entries()[0].upper_bytes);
-  EXPECT_EQ(copy.entries()[1].arch, table.entries()[1].arch);
+  rt::DispatchTable table =
+      predict_dispatch(node, {1'000, 10'000'000}, crossover_predictor());
+  table.set_machine("c2050");
+  rt::DispatchTable copy;
+  copy.deserialize(table.serialize());
+  EXPECT_EQ(copy.machine(), "c2050");
+  const auto original = table.entries();
+  const auto parsed = copy.entries();
+  ASSERT_EQ(parsed.size(), original.size());
+  for (std::size_t i = 0; i < parsed.size(); ++i) {
+    EXPECT_EQ(parsed[i].codelet, original[i].codelet);
+    EXPECT_EQ(parsed[i].arch, original[i].arch);
+    EXPECT_EQ(parsed[i].count, original[i].count);
+  }
 }
 
 TEST(DispatchTable, DeserializeRejectsGarbage) {
-  EXPECT_THROW(DispatchTable::deserialize("1 2\n"), Error);
-  EXPECT_NO_THROW(DispatchTable::deserialize(""));
+  rt::DispatchTable table;
+  EXPECT_THROW(table.deserialize("1 2\n"), ParseError);
+  EXPECT_THROW(table.deserialize("peppher-dispatch v1 c2050\nkernel 0 -1\n"),
+               ParseError);
+  EXPECT_NO_THROW(table.deserialize("peppher-dispatch v1 c2050\n"));
+  EXPECT_TRUE(table.empty());
 }
 
 TEST(DispatchNarrowing, DisablesNeverChosenVariants) {
   ComponentNode node = make_component();
   // Only large scenarios: CUDA always wins; CPU should be narrowed away.
-  const DispatchTable table = DispatchTable::build(
+  const rt::DispatchTable table = predict_dispatch(
       node, {10'000'000, 100'000'000}, crossover_predictor());
   const int disabled = narrow_with_table(node, table);
   EXPECT_EQ(disabled, 1);
@@ -105,7 +131,12 @@ TEST(DispatchNarrowing, DisablesNeverChosenVariants) {
 
 TEST(DispatchNarrowing, EmptyTableIsNoOp) {
   ComponentNode node = make_component();
-  EXPECT_EQ(narrow_with_table(node, DispatchTable{}), 0);
+  EXPECT_EQ(narrow_with_table(node, rt::DispatchTable{}), 0);
+  EXPECT_EQ(node.enabled_variants().size(), 2u);
+  // Votes for another codelet say nothing about this component either.
+  rt::DispatchTable other;
+  other.train("other", 0, -1, rt::Arch::kCuda);
+  EXPECT_EQ(narrow_with_table(node, other), 0);
   EXPECT_EQ(node.enabled_variants().size(), 2u);
 }
 
@@ -113,21 +144,10 @@ TEST(DispatchNarrowing, MultiVariantTableKeepsCandidateSet) {
   // Mixed scenarios keep both variants registered (multi-stage composition:
   // the runtime takes the final choice).
   ComponentNode node = make_component();
-  const DispatchTable table = DispatchTable::build(
-      node, {1'000, 10'000'000}, crossover_predictor());
+  const rt::DispatchTable table =
+      predict_dispatch(node, {1'000, 10'000'000}, crossover_predictor());
   EXPECT_EQ(narrow_with_table(node, table), 0);
   EXPECT_EQ(node.enabled_variants().size(), 2u);
-}
-
-TEST(ProfileForArch, MapsToMachineDevices) {
-  const sim::MachineConfig machine = sim::MachineConfig::platform_c2050();
-  EXPECT_EQ(profile_for_arch(machine, rt::Arch::kCpu).name, "XeonE5520-core");
-  EXPECT_EQ(profile_for_arch(machine, rt::Arch::kCuda).name, "TeslaC2050");
-  const auto combined = profile_for_arch(machine, rt::Arch::kCpuOmp);
-  EXPECT_GT(combined.peak_gflops, machine.cpu_core.peak_gflops * 3);
-  EXPECT_THROW(profile_for_arch(machine, rt::Arch::kOpenCl), Error);
-  EXPECT_THROW(profile_for_arch(sim::MachineConfig::cpu_only(), rt::Arch::kCuda),
-               Error);
 }
 
 TEST(HistoryPredictor, UsesRegressionOverRecordedSizes) {
@@ -138,12 +158,11 @@ TEST(HistoryPredictor, UsesRegressionOverRecordedSizes) {
                     1e-9 * static_cast<double>(bytes));
   }
   const Predictor predict = history_predictor(registry, "kernel");
-  const ComponentNode node = make_component();
-  const auto cpu_estimate = predict(node.variants[0], 32'000);
+  const auto cpu_estimate = predict(rt::Arch::kCpu, 32'000);
   ASSERT_TRUE(cpu_estimate.has_value());
   EXPECT_NEAR(*cpu_estimate, 32e-6, 5e-6);
   // No CUDA history: unpredictable.
-  EXPECT_FALSE(predict(node.variants[1], 32'000).has_value());
+  EXPECT_FALSE(predict(rt::Arch::kCuda, 32'000).has_value());
 }
 
 }  // namespace

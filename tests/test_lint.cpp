@@ -12,9 +12,11 @@
 #include <vector>
 
 #include "analyze/lint.hpp"
+#include "analyze/predict.hpp"
 #include "compose/skeleton.hpp"
 #include "compose/tool.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/perfmodel.hpp"
 #include "support/error.hpp"
 #include "support/fs.hpp"
 #include "support/strings.hpp"
@@ -114,8 +116,10 @@ TEST_F(LintTest, GeneratedSkeletonSetLintsClean) {
                  "void spmv(const float* values, int nnz, int nrows, "
                  "const float* x, float* y);");
   compose::generate_skeleton_from_file(dir_ / "spmv.h", dir_, {});
+  // A trained table for the skeleton's CUDA variant keeps it clean.
+  write("spmv.dispatch", "peppher-dispatch v1 c2050\nspmv 4096 -1 cuda 12\n");
   const DiagnosticBag bag = lint();
-  EXPECT_FALSE(bag.has_errors()) << bag.format_text();
+  EXPECT_FALSE(bag.fails(/*werror=*/true)) << bag.format_text();
 }
 
 TEST_F(LintTest, ComposeToolLintModeAcceptsCleanSkeletonSet) {
@@ -293,48 +297,129 @@ TEST_F(LintTest, UnknownMainTargetPlatformIsPL013) {
   EXPECT_EQ(d->severity, Severity::kWarning);
 }
 
+// Dispatch tables are the runtime's "peppher-dispatch v1" artifact: one
+// counted vote per (codelet, footprint, point, architecture).
+
 TEST_F(LintTest, DispatchTableProblemsArePL02x) {
   write_clean_axpy();
-  // Unknown variant, descending bound, duplicate adjacent entries, and a
-  // stale recorded architecture — one table seeding four findings.
-  write("axpy.dispatch",
-        "1024 axpy_ghost\n"
-        "512 axpy_cpu\n"
-        "2048 axpy_cpu\n"
-        "4096 axpy_cpu cuda\n");
+  // axpy ships only a CPU variant: a CUDA vote selects nothing.
+  write("trained.dispatch",
+        "peppher-dispatch v1 c2050\n"
+        "axpy 0 -1 cpu 4\n"
+        "axpy 4096 3 cuda 2\n"
+        "axpy 0 -1 cuda 1\n");
   const DiagnosticBag bag = lint();
-  const Diagnostic* unknown = find(bag, "PL020");
-  ASSERT_NE(unknown, nullptr) << bag.format_text();
-  EXPECT_EQ(unknown->severity, Severity::kError);
-  EXPECT_EQ(unknown->location.line, 1);
-  const Diagnostic* unreachable = find(bag, "PL022");
-  ASSERT_NE(unreachable, nullptr);
-  EXPECT_EQ(unreachable->location.line, 2);
-  const Diagnostic* duplicate = find(bag, "PL023");
-  ASSERT_NE(duplicate, nullptr);
-  EXPECT_EQ(duplicate->severity, Severity::kWarning);
-  const Diagnostic* stale = find(bag, "PL024");
-  ASSERT_NE(stale, nullptr);
-  EXPECT_EQ(stale->location.line, 4);
+  ASSERT_EQ(codes(bag), std::vector<std::string>{"PL020"}) << bag.format_text();
+  const Diagnostic& d = bag.diagnostics()[0];
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_NE(d.location.file.find("trained.dispatch"), std::string::npos);
+  EXPECT_NE(d.message.find("'cuda' for 'axpy' (3 vote(s))"), std::string::npos)
+      << d.message;
+
+  // Negative: votes only for the architecture axpy ships.
+  write("trained.dispatch",
+        "peppher-dispatch v1 c2050\n"
+        "axpy 0 -1 cpu 4\n"
+        "axpy 4096 3 cpu 2\n");
+  EXPECT_TRUE(lint().empty()) << lint().format_text();
 }
 
 TEST_F(LintTest, OrphanAndEmptyDispatchTablesArePL025AndPL027) {
   write_clean_axpy();
-  write("nothing.dispatch", "# trained, but matches no interface\n");
+  write("nothing.dispatch", "peppher-dispatch v1 c2050\n");
+  write("orphan.dispatch",
+        "peppher-dispatch v1 c2050\n"
+        "axpy 0 -1 cpu 1\n"
+        "ghost 0 -1 cpu 2\n"
+        "ghost 64 -1 cuda 2\n");
   const DiagnosticBag bag = lint();
-  EXPECT_NE(find(bag, "PL025"), nullptr) << bag.format_text();
-  EXPECT_NE(find(bag, "PL027"), nullptr) << bag.format_text();
+  // One PL025 per orphaned codelet, however many entries it has.
+  EXPECT_EQ(codes(bag), (std::vector<std::string>{"PL027", "PL025"}))
+      << bag.format_text();
+  const Diagnostic* orphan = find(bag, "PL025");
+  ASSERT_NE(orphan, nullptr);
+  EXPECT_NE(orphan->message.find("'ghost'"), std::string::npos);
+  EXPECT_NE(orphan->location.file.find("orphan.dispatch"), std::string::npos);
+
+  // Negative: a table whose every codelet is an interface, and which has
+  // entries, draws neither.
+  write("nothing.dispatch", "peppher-dispatch v1 c2050\naxpy 0 -1 cpu 1\n");
+  write("orphan.dispatch", "peppher-dispatch v1 c2050\naxpy 0 2 cpu 1\n");
+  EXPECT_TRUE(lint().empty()) << lint().format_text();
 }
 
 TEST_F(LintTest, DisabledVariantInDispatchTableIsPL026) {
   write_clean_axpy();
-  write("axpy.dispatch", "1024 axpy_cpu\n");
+  write("axpy.dispatch", "peppher-dispatch v1 c2050\naxpy 0 -1 cpu 3\n");
+  EXPECT_TRUE(lint().empty()) << lint().format_text();
+  for (const char* token : {"axpy_cpu", "cpu"}) {
+    LintOptions options;
+    options.disable_impls = {token};
+    const DiagnosticBag bag = lint(options);
+    const Diagnostic* d = find(bag, "PL026");
+    ASSERT_NE(d, nullptr) << token << ": " << bag.format_text();
+    EXPECT_EQ(d->severity, Severity::kWarning);
+    EXPECT_NE(d->message.find("unreachable"), std::string::npos);
+    EXPECT_EQ(find(bag, "PL020"), nullptr);
+  }
+  // One enabled CPU variant left keeps the branch reachable.
+  write("axpy_cpu2.xml",
+        "<peppher-implementation name=\"axpy_cpu2\" interface=\"axpy\">\n"
+        "  <platform language=\"cpu\"/>\n"
+        "  <sources><source file=\"axpy_cpu2.cpp\"/></sources>\n"
+        "</peppher-implementation>\n");
+  write("axpy_cpu2.cpp",
+        "void axpy_cpu2(int n, float a, const float* x, float* y);\n");
   LintOptions options;
   options.disable_impls = {"axpy_cpu"};
-  const DiagnosticBag bag = lint(options);
-  const Diagnostic* d = find(bag, "PL026");
-  ASSERT_NE(d, nullptr) << bag.format_text();
-  EXPECT_NE(d->message.find("unreachable"), std::string::npos);
+  EXPECT_EQ(find(lint(options), "PL026"), nullptr);
+}
+
+TEST_F(LintTest, MalformedDispatchTableIsLocatedPL000) {
+  write_clean_axpy();
+  // Truncated entry: four of the five fields.
+  write("axpy.dispatch", "peppher-dispatch v1 c2050\naxpy 0 -1 cpu\n");
+  DiagnosticBag bag = lint();
+  ASSERT_EQ(codes(bag), std::vector<std::string>{"PL000"}) << bag.format_text();
+  EXPECT_EQ(bag.diagnostics()[0].location.line, 2);
+  EXPECT_EQ(bag.diagnostics()[0].location.column, 1);
+  EXPECT_TRUE(bag.has_errors());
+
+  // Garbled: the retired range format has no header.
+  write("axpy.dispatch", "1024 axpy_cpu cpu\n");
+  bag = lint();
+  ASSERT_EQ(codes(bag), std::vector<std::string>{"PL000"}) << bag.format_text();
+  EXPECT_EQ(bag.diagnostics()[0].location.line, 1);
+
+  // Garbled field mid-file, located at its column.
+  write("axpy.dispatch", "peppher-dispatch v1 c2050\naxpy 0 -1 vulkan 2\n");
+  bag = lint();
+  ASSERT_EQ(codes(bag), std::vector<std::string>{"PL000"}) << bag.format_text();
+  EXPECT_EQ(bag.diagnostics()[0].location.line, 2);
+  EXPECT_EQ(bag.diagnostics()[0].location.column, 11);
+}
+
+TEST_F(LintTest, RuntimeAndPredictorTablesLintCleanUnderWerror) {
+  write_clean_axpy();
+  // What an engine training run saves: exact and wildcard keys.
+  rt::DispatchTable trained;
+  trained.set_machine("c2050");
+  trained.train("axpy", 4096, 0, rt::Arch::kCpu, 7);
+  trained.train("axpy", 8192, 1, rt::Arch::kCpu, 2);
+  trained.save(dir_ / "trained.dispatch");
+  // What peppher-predict --dispatch-out exports.
+  analyze::PredictResult predicted;
+  analyze::PointCost point;
+  point.call_index = 0;
+  point.interface_name = "axpy";
+  point.chosen = rt::Arch::kCpu;
+  point.executions = 10;
+  predicted.points.push_back(point);
+  analyze::export_dispatch(predicted, "c2050").save(dir_ / "predicted.dispatch");
+
+  const DiagnosticBag bag = lint();
+  EXPECT_FALSE(bag.fails(/*werror=*/true)) << bag.format_text();
+  EXPECT_TRUE(bag.empty()) << bag.format_text();
 }
 
 // ---------------------------------------------------------------------------
@@ -702,16 +787,20 @@ TEST_F(LintTest, SarifOutputIsWellFormed) {
 
 TEST_F(LintTest, DiagnosticsAreSortedByLocation) {
   write_clean_axpy();
-  write("axpy.dispatch",
-        "1024 axpy_ghost\n"
-        "512 axpy_phantom\n");
+  write("b.dispatch",
+        "peppher-dispatch v1 c2050\n"
+        "ghost 0 -1 cpu 1\n"
+        "axpy 0 -1 cuda 1\n");
+  write("a.dispatch", "peppher-dispatch v1 c2050\n\naxpy 0\n");
   const DiagnosticBag bag = lint();
-  const std::vector<std::string> got = codes(bag);
-  ASSERT_GE(got.size(), 3u) << bag.format_text();
-  // Same file: line 1 (PL020) before line 2 (PL020 then PL022 by code).
-  EXPECT_EQ(bag.diagnostics()[0].location.line, 1);
-  EXPECT_LE(bag.diagnostics()[0].location.line,
-            bag.diagnostics()[1].location.line);
+  // By file first (a before b), then line (the located PL000), then code.
+  ASSERT_EQ(codes(bag), (std::vector<std::string>{"PL000", "PL020", "PL025"}))
+      << bag.format_text();
+  EXPECT_NE(bag.diagnostics()[0].location.file.find("a.dispatch"),
+            std::string::npos);
+  EXPECT_EQ(bag.diagnostics()[0].location.line, 3);
+  EXPECT_NE(bag.diagnostics()[1].location.file.find("b.dispatch"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -369,7 +369,7 @@ TEST_P(SeededProperty, XmlSerializeParseRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch tables pick the argmin at every scenario point
+// Dispatch tables vote for the argmin at every scenario point
 // ---------------------------------------------------------------------------
 
 TEST_P(SeededProperty, DispatchTableIsArgminAtScenarios) {
@@ -377,44 +377,51 @@ TEST_P(SeededProperty, DispatchTableIsArgminAtScenarios) {
   compose::ComponentNode node;
   node.interface.name = "prop";
   const char* const langs[] = {"cpu", "openmp", "cuda"};
-  // Random affine cost curves per variant.
+  // Random affine cost curves per architecture.
   struct Curve {
     double base, slope;
   };
-  std::map<std::string, Curve> curves;
+  std::map<rt::Arch, Curve> curves;
   for (int v = 0; v < 3; ++v) {
     compose::VariantNode variant;
     variant.descriptor.name = std::string("prop_") + langs[v];
     variant.descriptor.interface_name = "prop";
     variant.descriptor.language = langs[v];
-    curves[variant.descriptor.name] =
+    curves[variant.arch()] =
         Curve{rng.uniform(1e-6, 1e-3), rng.uniform(1e-12, 1e-8)};
     node.variants.push_back(std::move(variant));
   }
-  auto predict = [&curves](const compose::VariantNode& variant,
+  auto predict = [&curves](rt::Arch arch,
                            std::size_t bytes) -> std::optional<double> {
-    const Curve& c = curves.at(variant.descriptor.name);
+    const Curve& c = curves.at(arch);
     return c.base + c.slope * static_cast<double>(bytes);
   };
   std::vector<std::size_t> scenarios;
   for (int s = 0; s < 12; ++s) {
     scenarios.push_back(1 + rng.next_below(1 << 28));
   }
-  const compose::DispatchTable table =
-      compose::DispatchTable::build(node, scenarios, predict);
+  // Per-architecture vote counts equal per-architecture argmin counts.
+  std::map<rt::Arch, std::uint64_t> expected;
   for (std::size_t bytes : scenarios) {
-    std::string best;
+    rt::Arch best = rt::Arch::kCpu;
     double best_cost = std::numeric_limits<double>::infinity();
     for (const auto& variant : node.variants) {
-      const double cost = *predict(variant, bytes);
+      const double cost = *predict(variant.arch(), bytes);
       if (cost < best_cost) {
         best_cost = cost;
-        best = variant.descriptor.name;
+        best = variant.arch();
       }
     }
-    ASSERT_NE(table.lookup(bytes), nullptr);
-    EXPECT_EQ(table.lookup(bytes)->variant, best) << "bytes=" << bytes;
+    ++expected[best];
   }
+  const rt::DispatchTable table =
+      compose::predict_dispatch(node, scenarios, predict);
+  std::map<rt::Arch, std::uint64_t> votes;
+  for (const auto& entry : table.entries()) {
+    EXPECT_EQ(entry.codelet, "prop");
+    votes[entry.arch] += entry.count;
+  }
+  EXPECT_EQ(votes, expected);
 }
 
 // ---------------------------------------------------------------------------

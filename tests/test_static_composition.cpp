@@ -1,13 +1,14 @@
 // End-to-end static composition (§III steps 2-3, §IV-A): training
-// executions record performance history; the composition tool derives a
-// dispatch table from the history via regression; the table narrows the
-// candidate set (or pins a single variant), and the narrowed composition is
-// both correct and fast. Also covers the sampling-directory persistence
+// executions record performance history; the composition tool derives the
+// runtime's dispatch table (rt::DispatchTable) from the history via
+// regression; the table narrows the candidate set (or pins a single
+// variant), and the narrowed composition is both correct and fast. Also covers the sampling-directory persistence
 // that makes training survive across tool invocations (like StarPU's
 // ~/.starpu/sampling).
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 
 #include "apps/common.hpp"
 #include "apps/sgemm.hpp"
@@ -44,6 +45,13 @@ void train_sgemm(rt::Engine& engine, const std::vector<std::uint32_t>& sizes) {
   }
 }
 
+/// Architectures the table votes for, over all of its codelets.
+std::set<rt::Arch> voted_archs(const rt::DispatchTable& table) {
+  std::set<rt::Arch> out;
+  for (const auto& entry : table.entries()) out.insert(entry.arch);
+  return out;
+}
+
 compose::ComponentNode sgemm_component() {
   compose::ComponentNode node;
   node.interface.name = "sgemm";
@@ -73,10 +81,10 @@ TEST(StaticComposition, TrainingThenDispatchTablePinsGpuForLargeGemm) {
   for (std::uint32_t n : {256u, 384u, 512u}) {
     big_scenarios.push_back(3u * n * n * sizeof(float));
   }
-  const compose::DispatchTable table =
-      compose::DispatchTable::build(node, big_scenarios, predict);
+  const rt::DispatchTable table =
+      compose::predict_dispatch(node, big_scenarios, predict);
   ASSERT_FALSE(table.empty());
-  EXPECT_EQ(table.variants_used(), std::vector<std::string>{"sgemm_cuda"});
+  EXPECT_EQ(voted_archs(table), std::set<rt::Arch>{rt::Arch::kCuda});
   EXPECT_EQ(compose::narrow_with_table(node, table), 2);
   ASSERT_EQ(node.enabled_variants().size(), 1u);
   EXPECT_EQ(node.enabled_variants()[0]->arch(), rt::Arch::kCuda);
@@ -96,10 +104,10 @@ TEST(StaticComposition, MixedScenariosKeepMultipleCandidates) {
   for (std::uint32_t n : {256u, 512u}) {
     scenarios.push_back(3u * n * n * sizeof(float));
   }
-  const compose::DispatchTable table =
-      compose::DispatchTable::build(node, scenarios, predict);
+  const rt::DispatchTable table =
+      compose::predict_dispatch(node, scenarios, predict);
   ASSERT_FALSE(table.empty());
-  EXPECT_GE(table.variants_used().size(), 2u);
+  EXPECT_GE(voted_archs(table).size(), 2u);
   compose::narrow_with_table(node, table);
   EXPECT_GE(node.enabled_variants().size(), 2u);
 }
@@ -139,8 +147,7 @@ TEST(StaticComposition, PerformanceModelsPersistAcrossEngines) {
     rt::Engine engine(config);
     const compose::Predictor predict =
         compose::history_predictor(engine.perf(), "sgemm");
-    compose::ComponentNode node = sgemm_component();
-    const auto estimate = predict(node.variants[2], 3u * 256u * 256u * 4u);
+    const auto estimate = predict(rt::Arch::kCuda, 3u * 256u * 256u * 4u);
     ASSERT_TRUE(estimate.has_value());
     EXPECT_GT(*estimate, 0.0);
   }
@@ -216,19 +223,27 @@ TEST(Training, TrainAndBuildTablePinsTheWinner) {
   const auto table = compose::train_and_build_table(
       engine, node, *codelet, sgemm_factory(problems), {8, 16, 24, 32, 48}, 2);
   ASSERT_FALSE(table.empty());
+  // The table comes back finalized, ready for replay.
+  EXPECT_TRUE(table.lookup(rt::DispatchTable::key("sgemm", 0, -1)).has_value());
   // At these tiny sizes a CPU-side variant must win the smallest scenario
-  // (GPU launch overhead dominates).
-  const auto* smallest = table.lookup(1);
-  ASSERT_NE(smallest, nullptr);
-  EXPECT_NE(smallest->arch, rt::Arch::kCuda);
-  // Every table entry names a variant of this component.
+  // (GPU launch overhead dominates), so some vote is not for CUDA.
+  const std::set<rt::Arch> archs = voted_archs(table);
+  EXPECT_TRUE(archs.count(rt::Arch::kCpu) + archs.count(rt::Arch::kCpuOmp) > 0);
+  // Every entry is one of this component's votes: its codelet, any
+  // footprint, any point, an architecture one of its variants targets.
+  std::uint64_t votes = 0;
   for (const auto& entry : table.entries()) {
+    EXPECT_EQ(entry.codelet, "sgemm");
+    EXPECT_EQ(entry.footprint, 0u);
+    EXPECT_EQ(entry.point, -1);
     bool known = false;
     for (const auto& variant : node.variants) {
-      known = known || variant.descriptor.name == entry.variant;
+      known = known || variant.arch() == entry.arch;
     }
-    EXPECT_TRUE(known) << entry.variant;
+    EXPECT_TRUE(known) << rt::to_string(entry.arch);
+    votes += entry.count;
   }
+  EXPECT_EQ(votes, 5u);  // one per training scenario
 }
 
 TEST(StaticComposition, SpmvNetworkMatrixNarrowsAwayFromGpuOnC1060) {
@@ -261,12 +276,10 @@ TEST(StaticComposition, SpmvNetworkMatrixNarrowsAwayFromGpuOnC1060) {
     variant.descriptor.language = lang;
     node.variants.push_back(std::move(variant));
   }
-  const compose::DispatchTable table = compose::DispatchTable::build(
+  const rt::DispatchTable table = compose::predict_dispatch(
       node, scenario_bytes, compose::history_predictor(engine.perf(), "spmv"));
   ASSERT_FALSE(table.empty());
-  for (const std::string& used : table.variants_used()) {
-    EXPECT_NE(used, "spmv_cuda");
-  }
+  EXPECT_EQ(voted_archs(table).count(rt::Arch::kCuda), 0u);
 }
 
 }  // namespace

@@ -25,8 +25,10 @@
 #      means the table is being ignored;
 #   8. runs the static cost predictor (peppher-predict): models recorded
 #      from short ODE runs must predict a fixture repository clean under
-#      --werror, a seeded dead variant must be caught as PL070, and a
-#      corrupted .model file must be rejected with a located parse error;
+#      --werror, the dispatch table it exports must lint clean (and a seeded
+#      vote for an architecture the fixture lacks must be caught as PL020),
+#      a seeded dead variant must be caught as PL070, and a corrupted
+#      .model file must be rejected with a located parse error;
 #   9. if clang-tidy is installed and the build exported
 #      compile_commands.json, runs it over src/analyze with the repo's
 #      .clang-tidy configuration (advisory: failures are reported but do
@@ -357,6 +359,22 @@ echo "== recorded models must predict the fixture clean under --werror"
 "${predict_bin}" analyze --werror --machine=c2050 "--models=${modelsdir}" \
   "${predict_sizes[@]}" "${predictdir}" > "${workdir}/predict_report.txt"
 grep -q "predicted makespan" "${workdir}/predict_report.txt"
+
+echo "== exported dispatch table must lint clean; a seeded dead vote is PL020"
+"${predict_bin}" analyze --werror --machine=c2050 "--models=${modelsdir}" \
+  "${predict_sizes[@]}" "--dispatch-out=${predictdir}/predicted.dispatch" \
+  "${predictdir}" > /dev/null
+grep -q "^peppher-dispatch v1" "${predictdir}/predicted.dispatch"
+"${lint_bin}" --werror --no-sources "${predictdir}"
+echo "ode_rhs 0 -1 opencl 1" >> "${predictdir}/predicted.dispatch"
+if "${lint_bin}" --werror --no-sources "${predictdir}" \
+    > "${workdir}/dispatch_findings.txt" 2>&1; then
+  echo "run_lint.sh: lint accepted a vote for a missing architecture" >&2
+  cat "${workdir}/dispatch_findings.txt" >&2
+  exit 1
+fi
+grep -q "PL020" "${workdir}/dispatch_findings.txt"
+rm -f "${predictdir}/predicted.dispatch"
 
 echo "== what-if query must answer with a device count"
 "${predict_bin}" whatif --machine=c2050 "--models=${modelsdir}" \
