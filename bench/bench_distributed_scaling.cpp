@@ -35,7 +35,7 @@ namespace {
 struct Row {
   std::string workload;
   int nodes = 1;
-  std::string exchange;  ///< "overlapped" | "blocking" | "-" (spmv)
+  std::string exchange = "-";  ///< "overlapped" | "blocking" | "-" (spmv)
   double virtual_s = 0.0;
   double wall_ms = 0.0;
   std::uint64_t internode_transfers = 0;
@@ -98,7 +98,6 @@ Row run_spmv_row(int nodes, double scale_per_node) {
   Row row;
   row.workload = "spmv";
   row.nodes = nodes;
-  row.exchange = "-";
   row.virtual_s = result.virtual_seconds;
   row.wall_ms =
       std::chrono::duration<double, std::milli>(wall_end - wall_start).count();

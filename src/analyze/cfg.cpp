@@ -1,5 +1,6 @@
 #include "analyze/cfg.hpp"
 
+#include <algorithm>
 #include <tuple>
 
 #include "runtime/msi.hpp"
@@ -150,10 +151,31 @@ class Lowering {
 
 }  // namespace
 
+std::vector<desc::CallNode> statement_tree(const desc::MainDescriptor& main) {
+  if (!main.call_tree.empty()) return main.call_tree;
+  std::vector<desc::CallNode> tree;
+  for (const desc::CallDesc& call : main.calls) {
+    desc::CallNode node;
+    node.kind = desc::CallNode::Kind::kCall;
+    node.call = call;
+    node.loc = call.loc;
+    tree.push_back(std::move(node));
+  }
+  return tree;
+}
+
 Cfg lower_call_tree(const desc::Repository& repo, const LintOptions& options,
                     const std::vector<desc::CallNode>& tree) {
   Lowering lowering(repo, options);
   return lowering.lower(tree);
+}
+
+int pinned_mem(const Stmt& stmt, const rt::MemTopology& topo) {
+  if (stmt.placement == CallPlacement::kAny) return -1;
+  const int pin =
+      std::clamp(stmt.node->call.node, 0, topo.sim_node_count() - 1);
+  return topo.host_of(pin) +
+         (stmt.placement == CallPlacement::kDevice ? kDeviceSide : kHostSide);
 }
 
 // ---------------------------------------------------------------------------
@@ -187,16 +209,26 @@ std::vector<Access> call_accesses(const desc::Repository& repo,
       access.mode = p.access;
       access.hidden_write = p.access == rt::AccessMode::kRead &&
                             p.type.find("const") == std::string::npos;
+      access.param = &p;
       out.push_back(access);
     }
   }
   return out;
 }
 
-void apply_call(World& w, int stmt_id, const Stmt& stmt,
+int writer_mem(const World& w, const Cfg& cfg, const rt::MemTopology& topo) {
+  return w.last_writer >= 0
+             ? pinned_mem(cfg.stmts[static_cast<std::size_t>(w.last_writer)],
+                          topo)
+             : -1;
+}
+
+void apply_call(World& w, const Cfg& cfg, int stmt_id,
                 const std::vector<Access>& accesses, int node,
                 const rt::MemTopology& topo, std::set<int>* live) {
-  const bool pinned = stmt.placement != CallPlacement::kAny;
+  const bool pinned =
+      cfg.stmts[static_cast<std::size_t>(stmt_id)].placement !=
+      CallPlacement::kAny;
   for (const Access& access : accesses) {
     if (w.distributed()) {
       // Per-slice sub-machine: the partitioning scattered each slice to its
@@ -224,22 +256,20 @@ void apply_call(World& w, int stmt_id, const Stmt& stmt,
         live->insert(w.pending_write);
       }
       w.pending_write = -1;
-      if (pinned && w.last_writer >= 0 && node != w.last_writer) {
-        if (topo.sim_node(node) == topo.sim_node(w.last_writer)) {
-          w.cross_read = true;
-        } else {
+      const int writer = writer_mem(w, cfg, topo);
+      if (pinned && writer >= 0 && node != writer) {
+        if (topo.sim_node(node) != topo.sim_node(writer)) {
           w.cross_node_read = true;
+        } else if (w.cross_read < 0) {
+          w.cross_read = stmt_id;
         }
       }
       // A dependent read forces the asynchronous ghost copies to complete.
       w.exchange_open = false;
     }
     if (access.mode == rt::AccessMode::kRead) {
-      if (access.hidden_write) {
-        w.window_hidden = true;
-      } else {
-        w.window_read = true;
-      }
+      int& first = access.hidden_write ? w.window_hidden : w.window_read;
+      if (first < 0) first = stmt_id;
     }
     if (mode_writes(access.mode)) {
       w.initialized = true;
@@ -247,11 +277,11 @@ void apply_call(World& w, int stmt_id, const Stmt& stmt,
       // per-node writes touch disjoint slices, so a later write on another
       // node never shadows this one.
       if (!w.distributed()) w.pending_write = stmt_id;
-      w.last_writer = pinned ? node : -1;
-      w.cross_read = false;
+      w.last_writer = pinned ? stmt_id : -1;
+      w.cross_read = -1;
       w.cross_node_read = false;
-      w.window_hidden = false;
-      w.window_read = false;
+      w.window_hidden = -1;
+      w.window_read = -1;
       if (w.distributed()) {
         w.exchanged = false;  // ghost copies are stale after any write
         w.exchange_open = false;

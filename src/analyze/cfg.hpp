@@ -46,6 +46,7 @@ const char* side_name(int side);
 struct Access {
   rt::AccessMode mode = rt::AccessMode::kRead;
   bool hidden_write = false;  ///< declared read through a mutable type
+  const desc::ParamDesc* param = nullptr;  ///< the bound interface parameter
 };
 
 /// One CFG node: a single statement (or a structural no-op for loop heads
@@ -77,6 +78,11 @@ struct Cfg {
   int exit = -1;
 };
 
+/// The statement tree of `main`: its <calls> tree as written, or, for a
+/// programmatic descriptor that fills only the flattened
+/// MainDescriptor::calls, the straight-line tree of those calls.
+std::vector<desc::CallNode> statement_tree(const desc::MainDescriptor& main);
+
 /// Lowers a <calls> statement tree to the statement CFG. Call statements
 /// are numbered in document order, exactly like MainDescriptor::calls (the
 /// flattened view). Loop bodies execute at least once (declared trip count
@@ -84,6 +90,12 @@ struct Cfg {
 /// count is exactly 1.
 Cfg lower_call_tree(const desc::Repository& repo, const LintOptions& options,
                     const std::vector<desc::CallNode>& tree);
+
+/// The memory node of the abstract topology `topo` that a placement-pinned
+/// call statement runs on: its side's slot of the cluster node it is pinned
+/// to (pins outside the profile clamp into it; PL084 reports them). -1 when
+/// the placement is the scheduler's choice.
+int pinned_mem(const Stmt& stmt, const rt::MemTopology& topo);
 
 /// One feasible execution history of a single container, collapsed to the
 /// facts the checks need. The replica states are the runtime's own
@@ -98,10 +110,13 @@ struct World {
   bool initialized = false;   ///< a program write reached this point
   int partition_stmt = -1;    ///< stmt of the open <partition>, -1 if none
   int pending_write = -1;     ///< stmt of the last write nothing read yet
-  int last_writer = -1;       ///< mem node of the last pinned write, -1 unknown
-  bool cross_read = false;    ///< a pinned same-node cross-side read since then
-  bool window_hidden = false; ///< open read window holds a hidden write
-  bool window_read = false;   ///< open read window holds a declared read
+  int last_writer = -1;       ///< stmt of the last write if pinned, else -1
+  int cross_read = -1;        ///< stmt of the first pinned same-node
+                              ///< cross-side read since then, -1 if none
+  int window_hidden = -1;     ///< stmt of the open read window's first
+                              ///< hidden write, -1 if none
+  int window_read = -1;       ///< stmt of the open read window's first
+                              ///< declared read, -1 if none
 
   // Distributed-partitioning facts (all defaults while the container is a
   // plain single-home allocation).
@@ -125,15 +140,19 @@ std::vector<Access> call_accesses(const desc::Repository& repo,
                                   const desc::CallDesc& call,
                                   const std::string& data);
 
-/// Applies one call's accesses to a world, pinned to memory node `node` of
-/// the abstract topology `topo` (the verifier builds it: one host + one
-/// accelerator slot per cluster node; single_host(2) without a profile).
-/// Distributed worlds route the access through the pinned node's per-slice
-/// sub-machine; plain worlds take the full topology-aware MSI transition.
-/// `live`, when non-null, collects liveness facts for the dead-write
-/// analysis (which pending writes got read) — the transfer itself is
-/// reporting-free.
-void apply_call(World& w, int stmt_id, const Stmt& stmt,
+/// The memory node of the world's last writer (pinned_mem of that
+/// statement), -1 when unknown.
+int writer_mem(const World& w, const Cfg& cfg, const rt::MemTopology& topo);
+
+/// Applies the accesses of call statement `stmt_id` of `cfg` to a world,
+/// pinned to memory node `node` of the abstract topology `topo` (the
+/// verifier builds it: one host + one accelerator slot per cluster node;
+/// single_host(2) without a profile). Distributed worlds route the access
+/// through the pinned node's per-slice sub-machine; plain worlds take the
+/// full topology-aware MSI transition. `live`, when non-null, collects
+/// liveness facts for the dead-write analysis (which pending writes got
+/// read) — the transfer itself is reporting-free.
+void apply_call(World& w, const Cfg& cfg, int stmt_id,
                 const std::vector<Access>& accesses, int node,
                 const rt::MemTopology& topo, std::set<int>* live);
 

@@ -56,7 +56,9 @@ enum class EstimateSource {
 std::string_view to_string(EstimateSource source) noexcept;
 
 /// Per-machine cost oracle: execution time per (component, arch) from the
-/// loaded performance models, transfer time from the machine's link.
+/// loaded performance models, transfer time from the machine's link. It
+/// keeps its own copy of the machine, so a temporary MachineConfig may be
+/// passed; the models are referenced and must outlive it.
 class CostEvaluator {
  public:
   /// Relative cross-validation error above which a multi-term estimate is
@@ -102,7 +104,7 @@ class CostEvaluator {
   const rt::PerfRegistry& models() const { return models_; }
 
  private:
-  const sim::MachineConfig& machine_;
+  const sim::MachineConfig machine_;
   const rt::PerfRegistry& models_;
   std::uint64_t calibration_min_;
 };

@@ -19,8 +19,8 @@ std::string SourceLocation::to_string() const {
   if (!file.empty()) {
     std::string out = file;
     if (line > 0) {
-      out += ":" + std::to_string(line);
-      if (column > 0) out += ":" + std::to_string(column);
+      out += ':' + std::to_string(line);
+      if (column > 0) out += ':' + std::to_string(column);
     }
     return out;
   }

@@ -18,11 +18,13 @@
 //     next to the descriptors (the runtime's "peppher-dispatch v1" tables)
 //     are checked for codelets that name no interface, architectures with
 //     no enabled implementation, and empty (untrained) tables;
-//   * task-graph hazard analysis (PL030..PL036): the main module's declared
-//     <calls> sequence is executed symbolically; write/write and read/write
+//   * task-graph hazard analysis (PL030..PL036, PL052): each call of the
+//     main module's declared <calls> sequence is checked for aliasing and
+//     bad bindings; the cross-call hazards (write/write and read/write
 //     conflicts that the declared access modes would let the runtime
-//     schedule concurrently are reported, as are aliasing binds and dead
-//     writes.
+//     schedule concurrently, dead writes, PCIe ping-pong) come from the
+//     coherence verifier's CFG fixpoint (analyze/verify.hpp), the one
+//     hazard analysis of both tools.
 //
 // The compose pipeline runs the same checks (compose/tool.cpp), so
 // `compose_main` fails fast with the same messages as `peppher-lint`.
@@ -56,10 +58,11 @@ struct LintOptions {
   /// skips the dispatch checks).
   std::filesystem::path root;
 
-  /// Run the coherence verifier (analyze/verify.hpp, PL060..PL069) even for
-  /// straight-line call sequences. When the main module uses control flow
-  /// (<loop>/<if>) the verifier always runs — the straight-line window
-  /// checks stand down there and the verifier is what covers the paths.
+  /// Report the coherence verifier's coherence-only codes (PL060, PL061,
+  /// PL063, PL066, PL069, PL080..PL087) for straight-line call sequences
+  /// too. The verifier runs on every main module with <calls> and always
+  /// contributes its cross-call hazards; under control flow (<loop>/<if>)
+  /// or a distributed statement every code is reported anyway.
   bool verify = false;
 
   /// Iteration budget of the verifier's worklist fixpoint, per container
@@ -78,8 +81,8 @@ struct LintOptions {
 /// Which side of the PCIe link a call is pinned to by its viable
 /// implementation variants: every enabled variant of the interface targets
 /// an accelerator (kDevice), the host (kHost), or the call is free to run
-/// on either side (kAny). Shared by the PL052 placement check and the
-/// coherence verifier.
+/// on either side (kAny). The coherence verifier places calls with it
+/// (PL052, PL064).
 enum class CallPlacement { kHost, kDevice, kAny };
 
 CallPlacement call_placement(const desc::Repository& repo,

@@ -114,30 +114,16 @@ class Predictor {
       return result;
     }
 
-    // Programmatic descriptors fill only the flattened view; synthesise the
-    // straight-line tree (same as verify_main).
-    desc::MainDescriptor synthesized;
-    const desc::MainDescriptor* subject = main;
-    if (main->call_tree.empty()) {
-      synthesized = *main;
-      for (const desc::CallDesc& call : main->calls) {
-        desc::CallNode node;
-        node.kind = desc::CallNode::Kind::kCall;
-        node.call = call;
-        node.loc = call.loc;
-        synthesized.call_tree.push_back(std::move(node));
-      }
-      subject = &synthesized;
-    }
-    main_ = subject;
+    main_ = main;
+    tree_ = statement_tree(*main);
 
     // Flatten the tree in document order (loop bodies and both <if>
     // branches once) so every call statement owns one point accumulator.
-    index_calls(subject->call_tree);
-    index_reads(subject->call_tree, 1.0);
+    index_calls(tree_);
+    index_reads(tree_, 1.0);
     state_.points.assign(flat_calls_.size(), PointAccum{});
     report_dead_variants();
-    eval_block(subject->call_tree, state_);
+    eval_block(tree_, state_);
     finalize(result);
     return result;
   }
@@ -701,6 +687,7 @@ class Predictor {
   CostEvaluator eval_;
   const int max_steps_;
   const desc::MainDescriptor* main_ = nullptr;
+  std::vector<desc::CallNode> tree_;  ///< statement_tree(*main_)
   WalkState state_;
   diag::DiagnosticBag bag_;
   int steps_ = 0;

@@ -62,6 +62,8 @@ class Verifier {
       : repo_(repo),
         options_(options),
         main_(main),
+        tree_(statement_tree(main)),
+        straight_line_(!main.has_control_flow),
         max_steps_(options.verify_max_steps > 0 ? options.verify_max_steps
                                                 : kDefaultMaxSteps),
         topo_(abstract_topology(options.cluster)),
@@ -69,7 +71,7 @@ class Verifier {
 
   VerifyResult run() {
     VerifyResult result;
-    cfg_ = lower_call_tree(repo_, options_, main_.call_tree);
+    cfg_ = lower_call_tree(repo_, options_, tree_);
 
     // PL084, the pin half: a call pinned to a node the cluster profile
     // does not provide. Container-independent, so it reports here rather
@@ -80,9 +82,7 @@ class Verifier {
         if (stmt.kind != Stmt::Kind::kCall) continue;
         if (stmt.node->call.node < sim_nodes_) continue;
         result.bag.add("PL084", Severity::kError,
-                       "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                           stmt.node->call.interface_name +
-                           ") is pinned to node " +
+                       call_label(static_cast<int>(i)) + " is pinned to node " +
                            std::to_string(stmt.node->call.node) +
                            " but the cluster profile '" +
                            options_.cluster->name + "' provides only nodes "
@@ -123,6 +123,13 @@ class Verifier {
   SourceLocation loc_of(int stmt_id) const {
     const Stmt& stmt = cfg_.stmts[stmt_id];
     return stmt.node != nullptr ? stmt.node->loc : main_.loc;
+  }
+
+  /// "call #N (interface)" for call statement `stmt_id`.
+  std::string call_label(int stmt_id) const {
+    const Stmt& stmt = cfg_.stmts[stmt_id];
+    return "call #" + std::to_string(stmt.call_index + 1) + " (" +
+           stmt.node->call.interface_name + ")";
   }
 
   /// Forward transfer of one statement over one world, for container
@@ -232,7 +239,7 @@ class Verifier {
             // The gather collects every slice back onto the primary host;
             // stale per-node writer tracking must not outlive the region.
             w.last_writer = -1;
-            w.cross_read = false;
+            w.cross_read = -1;
             w.cross_node_read = false;
             rt::msi::apply_host_reclaim(w.state);
           }
@@ -256,14 +263,13 @@ class Verifier {
           // Placement is the scheduler's choice: both sides are feasible.
           for (int mem : {host, host + 1}) {
             World w = in;
-            apply_call(w, stmt_id, stmt, accesses, mem, topo_, live);
+            apply_call(w, cfg_, stmt_id, accesses, mem, topo_, live);
             out.insert(std::move(w));
           }
         } else {
           World w = in;
-          apply_call(w, stmt_id, stmt, accesses,
-                     stmt.placement == CallPlacement::kHost ? host : host + 1,
-                     topo_, live);
+          apply_call(w, cfg_, stmt_id, accesses, pinned_mem(stmt, topo_), topo_,
+                     live);
           out.insert(std::move(w));
         }
         return;
@@ -284,7 +290,7 @@ class Verifier {
     // Scattering re-homes the container: whole-container writer/ping-pong
     // tracking restarts because each node now owns exactly its slice.
     w.last_writer = -1;
-    w.cross_read = false;
+    w.cross_read = -1;
     w.cross_node_read = false;
     std::fill(w.state.begin(), w.state.end(), rt::ReplicaState::kInvalid);
     const int owners = std::min(w.dist_nodes, sim_nodes_);
@@ -369,6 +375,7 @@ class Verifier {
       }
     }
     program_defined_ = program_defined;
+    pingpong_reported_ = false;
 
     for (std::size_t stmt_id = 0; stmt_id < cfg_.stmts.size(); ++stmt_id) {
       const Stmt& stmt = cfg_.stmts[stmt_id];
@@ -588,7 +595,9 @@ class Verifier {
 
     // A write is dead when no path reads it and no path carries it to the
     // program end (program outputs legitimately escape unread): every path
-    // overwrites it first.
+    // overwrites it first. A straight line reports it as PL033 at the
+    // overwriting call instead (report_straight_line).
+    if (straight_line_) return;
     for (int write_stmt : candidates) {
       if (live.count(write_stmt) || escaped.count(write_stmt)) continue;
       bag.add("PL062", Severity::kWarning,
@@ -694,9 +703,7 @@ class Verifier {
 
     if (reads && mixed_init && program_defined_) {
       bag.add("PL060", Severity::kWarning,
-              "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                  stmt.node->call.interface_name + ") reads container '" +
-                  data +
+              call_label(stmt_id) + " reads container '" + data +
                   "' which is written on some control-flow paths but not "
                   "on all of them — on the unwritten paths the read "
                   "consumes uninitialised data",
@@ -709,13 +716,12 @@ class Verifier {
     if (topo_.multi_node() && reads) {
       std::set<int> writer_nodes;
       for (const World& w : worlds) {
-        if (w.last_writer >= 0) writer_nodes.insert(topo_.sim_node(w.last_writer));
+        const int writer = writer_mem(w, cfg_, topo_);
+        if (writer >= 0) writer_nodes.insert(topo_.sim_node(writer));
       }
       if (writer_nodes.size() >= 2) {
         bag.add("PL086", Severity::kWarning,
-                "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                    stmt.node->call.interface_name + ") reads container '" +
-                    data +
+                call_label(stmt_id) + " reads container '" + data +
                     "' whose abstract worlds diverge across cluster nodes "
                     "at this join — a different node holds the last write "
                     "depending on the control-flow path taken, so the "
@@ -724,10 +730,8 @@ class Verifier {
       }
     }
 
-    // The node pin of this call, clamped into the profile (the clamp is
-    // what transfer() executed; PL084 reports the out-of-range pin).
-    const int pin = std::clamp(stmt.node->call.node, 0, sim_nodes_ - 1);
-    const int host_mem = topo_.host_of(pin);
+    // The memory node of a placement-pinned call, -1 for a free one.
+    const int mem = pinned_mem(stmt, topo_);
     // PL087: the call's first access is a pure write — nothing read first,
     // so nothing forced the asynchronous ghost copies to complete.
     const bool leading_write =
@@ -735,7 +739,6 @@ class Verifier {
 
     // Liveness, read-window races and loop-carried ping-pong are simulated
     // per world so the facts stay path-accurate.
-    const bool control_flow = main_.has_control_flow;
     bool race_reported = false;
     bool pingpong_reported = false;
     bool n2n_reported = false;
@@ -751,14 +754,11 @@ class Verifier {
         transfer(stmt_id, data, scratch, discard, &live);
       }
 
-      // The distributed checks have no straight-line twin, so they run
-      // regardless of control flow.
       if (w.distributed()) {
         if (!halo_reported && reads && stmt.node->call.radius > w.halo) {
           bag.add("PL080", Severity::kWarning,
-                  "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") declares a stencil access radius of " +
+                  call_label(stmt_id) +
+                      " declares a stencil access radius of " +
                       std::to_string(stmt.node->call.radius) +
                       " on container '" + data +
                       "' but the partitioning declares a halo of only " +
@@ -771,9 +771,7 @@ class Verifier {
         if (!unexchanged_reported && reads && stmt.node->call.radius > 0 &&
             !w.exchanged) {
           bag.add("PL081", Severity::kError,
-                  "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") reads container '" + data +
+                  call_label(stmt_id) + " reads container '" + data +
                       "' with stencil radius " +
                       std::to_string(stmt.node->call.radius) +
                       " but no halo exchange dominates it on some path — "
@@ -785,9 +783,7 @@ class Verifier {
         }
         if (!exchange_race_reported && leading_write && w.exchange_open) {
           bag.add("PL087", Severity::kError,
-                  "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") writes container '" + data +
+                  call_label(stmt_id) + " writes container '" + data +
                       "' while a halo exchange is still in flight on some "
                       "path — the write races the asynchronous ghost "
                       "copies; read the exchanged data first (quiesce) or "
@@ -797,9 +793,7 @@ class Verifier {
         }
         if (!bad_pin_reported && stmt.node->call.node >= w.dist_nodes) {
           bag.add("PL084", Severity::kError,
-                  "call #" + std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") is pinned to node " +
+                  call_label(stmt_id) + " is pinned to node " +
                       std::to_string(stmt.node->call.node) +
                       " but the open partitioning of container '" + data +
                       "' owns only nodes 0.." +
@@ -813,11 +807,8 @@ class Verifier {
       // PL082: this pinned write follows a remote-node read of its own
       // last write, inside a loop — every iteration crosses the cluster
       // link, the n2n twin of PL064.
-      if (!n2n_reported && stmt.loop_depth > 0 && writes &&
-          stmt.placement != CallPlacement::kAny) {
-        const int mem =
-            stmt.placement == CallPlacement::kHost ? host_mem : host_mem + 1;
-        if (w.last_writer == mem && w.cross_node_read) {
+      if (!n2n_reported && stmt.loop_depth > 0 && writes && mem >= 0) {
+        if (writer_mem(w, cfg_, topo_) == mem && w.cross_node_read) {
           std::string cost;
           if (options_.cluster.has_value()) {
             const sim::LinkProfile& link = options_.cluster->internode;
@@ -828,10 +819,9 @@ class Verifier {
           bag.add("PL082", Severity::kWarning,
                   "container '" + data +
                       "' ping-pongs between cluster nodes on every loop "
-                      "iteration: call #" +
-                      std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") writes it on node " + std::to_string(pin) +
+                      "iteration: " +
+                      call_label(stmt_id) + " writes it on node " +
+                      std::to_string(topo_.sim_node(mem)) +
                       " after a remote-node read of the previous write" +
                       cost +
                       " — partition the container across the nodes or "
@@ -841,13 +831,12 @@ class Verifier {
         }
       }
 
-      if (!control_flow) continue;  // PL031..PL033/PL052 own straight lines
-
       // PL065: an access joining an open read window that already hides a
-      // write (or a hidden write joining any open window) races.
-      if (!race_reported) {
-        bool wh = w.window_hidden;
-        bool wr = w.window_read;
+      // write (or a hidden write joining any open window) races. A straight
+      // line reports the same races as PL031/PL032 (report_straight_line).
+      if (!race_reported && !straight_line_) {
+        bool wh = w.window_hidden >= 0;
+        bool wr = w.window_read >= 0;
         for (const Access& access : accesses) {
           if (access.mode == rt::AccessMode::kRead) {
             const bool races =
@@ -855,10 +844,9 @@ class Verifier {
             if (races) {
               bag.add(
                   "PL065", Severity::kError,
-                  "read/write race on container '" + data + "': call #" +
-                      std::to_string(stmt.call_index + 1) + " (" +
-                      stmt.node->call.interface_name +
-                      ") joins a concurrent read window that hides a write "
+                  "read/write race on container '" + data + "': " +
+                      call_label(stmt_id) +
+                      " joins a concurrent read window that hides a write "
                       "through a mutable parameter on at least one "
                       "control-flow path — the runtime schedules the window "
                       "concurrently",
@@ -875,19 +863,15 @@ class Verifier {
 
       // PL064: this pinned write follows a cross-side read of its own last
       // write, inside a loop — every iteration bounces the replica.
-      if (!pingpong_reported && stmt.loop_depth > 0 && writes &&
-          stmt.placement != CallPlacement::kAny) {
-        const int side =
-            stmt.placement == CallPlacement::kHost ? kHostSide : kDeviceSide;
-        const int mem = side == kHostSide ? host_mem : host_mem + 1;
-        if (w.last_writer == mem && w.cross_read) {
+      if (!pingpong_reported && stmt.loop_depth > 0 && writes && mem >= 0) {
+        if (writer_mem(w, cfg_, topo_) == mem && w.cross_read >= 0) {
+          const int side = side_of(stmt);
           bag.add(
               "PL064", Severity::kWarning,
               "container '" + data +
                   "' ping-pongs across the PCIe link on every loop "
-                  "iteration: call #" +
-                  std::to_string(stmt.call_index + 1) + " (" +
-                  stmt.node->call.interface_name + ") writes it on the " +
+                  "iteration: " +
+                  call_label(stmt_id) + " writes it on the " +
                   side_name(side) +
                   " side after a cross-side read of the previous " +
                   side_name(side) +
@@ -898,16 +882,123 @@ class Verifier {
         }
       }
     }
+
+    if (straight_line_) {
+      report_straight_line(data, stmt_id, accesses, *worlds.begin(), bag);
+    }
+  }
+
+  /// The cross-call hazards of a program without <loop>/<if> (PL031..PL033,
+  /// PL052). It has one path, so its worlds differ only in replica states
+  /// and any one of them carries the path facts. The call's accesses replay
+  /// one at a time: several bindings of the container in one call order
+  /// like consecutive calls.
+  void report_straight_line(const std::string& data, int stmt_id,
+                            const std::vector<Access>& accesses, World w,
+                            DiagnosticBag& bag) {
+    const int mem = pinned_mem(cfg_.stmts[stmt_id], topo_);
+    for (const Access& access : accesses) {
+      // Declared reads run concurrently until the next write, so a hidden
+      // write races with every other member of its read window.
+      if (access.mode == rt::AccessMode::kRead) {
+        if (access.hidden_write && w.window_hidden >= 0) {
+          bag.add("PL032", Severity::kError,
+                  "write/write race on container '" + data + "': " +
+                      call_label(w.window_hidden) + " and " +
+                      call_label(stmt_id) +
+                      " both declare read access but their parameter types "
+                      "are mutable — the runtime schedules them concurrently",
+                  loc_of(stmt_id));
+        } else if (access.hidden_write && w.window_read >= 0) {
+          report_read_race(data, stmt_id, access.param->name, w.window_read,
+                           bag);
+        } else if (!access.hidden_write && w.window_hidden >= 0 &&
+                   w.window_read < 0) {
+          report_read_race(data, w.window_hidden,
+                           window_param(w.window_hidden, data), stmt_id, bag);
+        }
+      } else {
+        if (access.mode == rt::AccessMode::kWrite && w.pending_write >= 0 &&
+            !w.distributed()) {
+          bag.add("PL033", Severity::kWarning,
+                  "container '" + data + "' written by " +
+                      call_label(w.pending_write) + " is overwritten by " +
+                      call_label(stmt_id) +
+                      " before any read (dead write or missing dependency)",
+                  loc_of(stmt_id));
+        }
+        // A pinned write back on the side of the previous writer, after a
+        // read on the other side, bounces the replica across the link.
+        if (!pingpong_reported_ && mem >= 0 && w.cross_read >= 0 &&
+            writer_mem(w, cfg_, topo_) == mem) {
+          bag.add(
+              "PL052", Severity::kWarning,
+              "container '" + data + "' ping-pongs across the PCIe link: " +
+                  call_label(w.last_writer) + " writes it on the " +
+                  side_name(side_of(cfg_.stmts[w.last_writer])) + " side, " +
+                  call_label(w.cross_read) + " reads it on the " +
+                  side_name(side_of(cfg_.stmts[w.cross_read])) + " side, and " +
+                  call_label(stmt_id) +
+                  " writes it back — every round trip re-invalidates the "
+                  "read-side replica, so prefetching this operand is always "
+                  "wasted; provide a variant on both sides or co-locate the "
+                  "reader with the writers",
+              loc_of(w.cross_read));
+          pingpong_reported_ = true;
+        }
+      }
+      // The replica states are not read here, so a free call may run on
+      // any node.
+      apply_call(w, cfg_, stmt_id, {access}, std::max(mem, 0), topo_, nullptr);
+    }
+  }
+
+  /// PL031: `hidden` declares read access to `data` through the mutable
+  /// parameter `param` while `reader` reads it in the same read window.
+  void report_read_race(const std::string& data, int hidden,
+                        const std::string& param, int reader,
+                        DiagnosticBag& bag) const {
+    bag.add("PL031", Severity::kError,
+            "read/write race on container '" + data + "': " +
+                call_label(hidden) +
+                " declares read access through mutable parameter '" + param +
+                "' while " + call_label(reader) +
+                " reads it — the runtime schedules them concurrently",
+            loc_of(hidden));
+  }
+
+  /// The parameter through which call statement `stmt_id` opened the read
+  /// window it leaves open on `data`: its first hidden-write binding after
+  /// its last non-read access.
+  std::string window_param(int stmt_id, const std::string& data) const {
+    std::string param;
+    for (const Access& access :
+         call_accesses(repo_, cfg_.stmts[stmt_id].node->call, data)) {
+      if (access.mode != rt::AccessMode::kRead) {
+        param.clear();
+      } else if (access.hidden_write && param.empty()) {
+        param = access.param->name;
+      }
+    }
+    return param;
+  }
+
+  /// The side a placement-pinned call runs on.
+  static int side_of(const Stmt& stmt) {
+    return stmt.placement == CallPlacement::kHost ? kHostSide : kDeviceSide;
   }
 
   const desc::Repository& repo_;
   const LintOptions& options_;
   const desc::MainDescriptor& main_;
+  const std::vector<desc::CallNode> tree_;  ///< lowered into cfg_
+  const bool straight_line_;  ///< no <loop>/<if>: one path through cfg_
   const int max_steps_;
   const rt::MemTopology topo_;  ///< abstract machine (see abstract_topology)
   const int sim_nodes_;         ///< simulated cluster nodes in topo_
   Cfg cfg_;
   bool program_defined_ = false;  ///< current container has a pure write
+  bool pingpong_reported_ = false;  ///< PL052 reported for this container
 };
 
 }  // namespace
@@ -934,24 +1025,7 @@ VerifyResult verify_main(const desc::Repository& repo,
   if (main == nullptr || (main->call_tree.empty() && main->calls.empty())) {
     return {};
   }
-
-  // Programmatic descriptors fill only the flattened view; synthesise the
-  // straight-line tree the lowering expects.
-  desc::MainDescriptor synthesized;
-  const desc::MainDescriptor* subject = main;
-  if (main->call_tree.empty()) {
-    synthesized = *main;
-    for (const desc::CallDesc& call : main->calls) {
-      desc::CallNode node;
-      node.kind = desc::CallNode::Kind::kCall;
-      node.call = call;
-      node.loc = call.loc;
-      synthesized.call_tree.push_back(std::move(node));
-    }
-    subject = &synthesized;
-  }
-
-  Verifier verifier(repo, options, *subject);
+  Verifier verifier(repo, options, *main);
   return verifier.run();
 }
 

@@ -6,11 +6,12 @@
 // small control-flow graph, and a worklist fixpoint propagates an abstract
 // MSI coherence state through it: per container, a *set of worlds*, each
 // world one feasible (host replica, device replica) pair plus a few path
-// facts (initialised, partitioned, unread pending write, last writer side,
-// open read window). The transition rules are the runtime's own
-// (runtime/msi.hpp) — the same functions the verify_shadow runtime checker
-// applies to its concrete shadow state — so the verifier's abstract states
-// and the runtime's observed states are comparable point for point.
+// facts (initialised, partitioned, unread pending write, last pinned
+// writer and its first cross-side reader, open read window). The
+// transition rules are the runtime's own (runtime/msi.hpp) — the same
+// functions the verify_shadow runtime checker applies to its concrete
+// shadow state — so the verifier's abstract states and the runtime's
+// observed states are comparable point for point.
 //
 // Checks emitted (PL060..PL069, catalogued in docs/lint.md):
 //
@@ -19,7 +20,7 @@
 //   PL062  a write overwritten on every path before any read (dead write)
 //   PL063  <partition> with no <unpartition> on some path to program end
 //   PL064  loop-carried cross-architecture ping-pong (path-sensitive PL052)
-//   PL065  branch-divergent access modes make a hidden-write race (the
+//   PL065  a hidden write shares a read window on some path (the
 //          path-sensitive generalisation of PL031/PL032)
 //   PL066  partition protocol violation (access while partitioned, double
 //          partition, unpartition without partition, stray distributed form)
@@ -43,8 +44,15 @@
 // A one-node (or absent) profile keeps the historical two-slot machine,
 // byte-identical output included — the differential tests pin that.
 //
-// The straight-line window checks (PL031..PL033, PL052) stand down when the
-// main module uses control flow; run_lint then runs this verifier instead.
+// This is also peppher-lint's one cross-call hazard analysis. A program
+// without <loop>/<if> is a CFG with one path, and there the same fixpoint
+// reports dead writes, read-window races and PCIe ping-pong under the
+// straight-line codes of docs/lint.md instead of PL062/PL065/PL064:
+//
+//   PL031  a hidden write shares a read window with a declared read
+//   PL032  two hidden writes share a read window
+//   PL033  a write overwritten before any read (at the overwriting call)
+//   PL052  cross-architecture ping-pong (once per container)
 #pragma once
 
 #include <cstdint>
@@ -77,7 +85,7 @@ struct AbstractWorld {
 
 /// Outcome of one verification run.
 struct VerifyResult {
-  diag::DiagnosticBag bag;  ///< PL060..PL069 findings, sorted
+  diag::DiagnosticBag bag;  ///< findings, sorted
 
   /// False when the iteration budget was exhausted (PL069 in the bag).
   bool fixpoint_reached = true;

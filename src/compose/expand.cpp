@@ -182,7 +182,7 @@ std::vector<std::string> expand_generics(ComponentTree& tree) {
       std::string suffix;
       for (const auto& [param, value] : binding) {
         (void)param;
-        suffix += "_" + mangle_type(value);
+        suffix += '_' + mangle_type(value);
       }
       concrete.interface.name = node.interface.name + suffix;
       concrete.interface.template_params.clear();

@@ -64,7 +64,7 @@ std::string usage() {
          "  -backends=<cpu,openmp,cuda>\n"
          "  -lint    run the static checks (signatures, feasibility,\n"
          "           dispatch coverage, hazards, coherence) and stop\n"
-         "  -verify  also run the coherence verifier on straight lines\n"
+         "  -verify  report coherence findings on straight lines too\n"
          "  -werror\n"
          "  -verbose\n";
 }

@@ -15,8 +15,9 @@
 //   -lint                             run the static checks (signatures,
 //                                     feasibility, dispatch coverage,
 //                                     hazards, coherence), skip codegen
-//   -verify                           coherence-verify (PL060..PL069) even
-//                                     straight-line call sequences
+//   -verify                           report the coherence-only codes
+//                                     (PL060..PL069) for straight-line
+//                                     call sequences too
 //   -werror                           lint warnings abort composition too
 //   -verbose                          print per-step reports
 //
@@ -47,7 +48,7 @@ struct ToolOptions {
   bool dump_ir = false;    ///< print the component tree after the IR passes
   bool lint_only = false;  ///< -lint: stop after the static checks
   bool werror = false;     ///< -werror: warnings abort composition too
-  bool verify = false;     ///< -verify: coherence-verify straight lines too
+  bool verify = false;     ///< -verify: coherence codes on straight lines too
 };
 
 /// Parses argv-style arguments (without argv[0]). Throws

@@ -295,13 +295,15 @@ struct MainDescriptor {
   std::vector<CallNode> call_tree;
 
   /// Every component call of `call_tree`, flattened in document order (loop
-  /// bodies and both branches of an <if> appear once). The straight-line
-  /// hazard checks consume this view; path-sensitive checks walk the tree.
+  /// bodies and both branches of an <if> appear once). The per-call lint
+  /// checks (PL030, PL034–PL036) consume this view; the coherence verifier
+  /// walks the tree (analyze::statement_tree).
   std::vector<CallDesc> calls;
 
-  /// True when `call_tree` contains a <loop> or <if>: the straight-line
-  /// window checks (PL031–PL033, PL052) stand down in favour of the
-  /// path-sensitive verifier, which models the actual paths.
+  /// True when `call_tree` contains a <loop> or <if>. The verifier then
+  /// reports cross-call hazards path-sensitively (PL062, PL064, PL065)
+  /// rather than under the straight-line codes (PL031–PL033, PL052), and
+  /// run_lint reports its coherence-only codes without --verify.
   bool has_control_flow = false;
 
   /// True when `call_tree` contains a distributed statement (<partitioned>,

@@ -80,9 +80,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, SgemmSweep,
                                            std::make_tuple(33u, 17u, 29u),
                                            std::make_tuple(1u, 48u, 48u)),
                          [](const auto& info) {
-                           return "m" + std::to_string(std::get<0>(info.param)) +
-                                  "n" + std::to_string(std::get<1>(info.param)) +
-                                  "k" + std::to_string(std::get<2>(info.param));
+                           return 'm' + std::to_string(std::get<0>(info.param)) +
+                                  'n' + std::to_string(std::get<1>(info.param)) +
+                                  'k' + std::to_string(std::get<2>(info.param));
                          });
 
 TEST_P(SgemmSweep, SingleMatchesReference) {
@@ -118,9 +118,9 @@ INSTANTIATE_TEST_SUITE_P(Grids, HotspotSweep,
                                             ::testing::Values(8u, 17u),
                                             ::testing::Values(1, 2, 5)),
                          [](const auto& info) {
-                           return "r" + std::to_string(std::get<0>(info.param)) +
-                                  "c" + std::to_string(std::get<1>(info.param)) +
-                                  "s" + std::to_string(std::get<2>(info.param));
+                           return 'r' + std::to_string(std::get<0>(info.param)) +
+                                  'c' + std::to_string(std::get<1>(info.param)) +
+                                  's' + std::to_string(std::get<2>(info.param));
                          });
 
 TEST_P(HotspotSweep, MatchesReference) {
@@ -140,7 +140,7 @@ class SizeSweep : public ::testing::TestWithParam<std::uint32_t> {};
 INSTANTIATE_TEST_SUITE_P(Sizes, SizeSweep,
                          ::testing::Values(1u, 2u, 17u, 64u, 129u),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param);
+                           return 'n' + std::to_string(info.param);
                          });
 
 TEST_P(SizeSweep, NwExactAcrossSizes) {

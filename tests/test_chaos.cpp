@@ -71,7 +71,7 @@ TEST_P(ChaosUnderFaults, DependentChainsCompleteCorrectly) {
       TaskSpec spec;
       spec.codelet = &codelet;
       spec.operands = {{handles[chain], AccessMode::kReadWrite}};
-      spec.name = "c" + std::to_string(chain) + "s" + std::to_string(step);
+      spec.name = 'c' + std::to_string(chain) + 's' + std::to_string(step);
       engine.submit(std::move(spec));
     }
   }
@@ -180,7 +180,7 @@ TEST(ChaosBlacklist, DeadDeviceEmitsNoEventsAfterDrain) {
       TaskSpec spec;
       spec.codelet = &codelet;
       spec.operands = {{handles[chain], AccessMode::kReadWrite}};
-      spec.name = "c" + std::to_string(chain) + "s" + std::to_string(step);
+      spec.name = 'c' + std::to_string(chain) + 's' + std::to_string(step);
       engine.submit(std::move(spec));
     }
   }
@@ -249,7 +249,7 @@ TEST(ChaosBlacklist, LookaheadReplansWindowAfterDeviceDeath) {
       TaskSpec spec;
       spec.codelet = &codelet;
       spec.operands = {{handles[chain], AccessMode::kReadWrite}};
-      spec.name = "c" + std::to_string(chain) + "s" + std::to_string(step);
+      spec.name = 'c' + std::to_string(chain) + 's' + std::to_string(step);
       engine.submit(std::move(spec));
     }
   }

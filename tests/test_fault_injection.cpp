@@ -179,7 +179,7 @@ TEST(FaultInjection, DeadDeviceDrainsQueuedTasksToCpu) {
     TaskSpec spec;
     spec.codelet = &codelet;
     spec.operands = {{handles.back(), AccessMode::kReadWrite}};
-    spec.name = "t" + std::to_string(i);
+    spec.name = 't' + std::to_string(i);
     tasks.push_back(engine.submit(std::move(spec)));
   }
   engine.wait_for_all();

@@ -810,13 +810,22 @@ TEST_F(LintTest, DiagnosticsAreSortedByLocation) {
 TEST(ExpectedImplSignature, LowersContainersLikeTheCodeGenerator) {
   desc::InterfaceDescriptor iface;
   iface.name = "mix";
-  iface.params = {
-      {"n", "int", rt::AccessMode::kRead, {}, ""},
-      {"v", "Vector<float>&", rt::AccessMode::kReadWrite, {}, ""},
-      {"m", "const Matrix<double>&", rt::AccessMode::kRead, {}, ""},
-      {"s", "Scalar<float>&", rt::AccessMode::kWrite, {}, ""},
-      {"raw", "const int*", rt::AccessMode::kRead, {}, "n"},
+  auto param = [](std::string name, std::string type,
+                  rt::AccessMode access = rt::AccessMode::kRead) {
+    desc::ParamDesc p;
+    p.name = std::move(name);
+    p.type = std::move(type);
+    p.access = access;
+    return p;
   };
+  iface.params = {
+      param("n", "int"),
+      param("v", "Vector<float>&", rt::AccessMode::kReadWrite),
+      param("m", "const Matrix<double>&"),
+      param("s", "Scalar<float>&", rt::AccessMode::kWrite),
+      param("raw", "const int*"),
+  };
+  iface.params.back().size_expr = "n";
   EXPECT_EQ(analyze::expected_impl_signature(iface, "mix_cpu"),
             "void mix_cpu(int n, float* v, std::size_t v_count, "
             "double* m, std::size_t m_rows, std::size_t m_cols, "

@@ -86,10 +86,26 @@ TEST(Trace, DisabledByDefault) {
   EXPECT_EQ(engine.trace().size(), 0u);
 }
 
+rt::TaskRecord task_record(std::uint64_t sequence, std::string name,
+                           std::string impl, rt::Arch arch, rt::WorkerId worker,
+                           rt::VirtualTime vstart, rt::VirtualTime vend) {
+  rt::TaskRecord record;
+  record.sequence = sequence;
+  record.name = std::move(name);
+  record.impl = std::move(impl);
+  record.arch = arch;
+  record.worker = worker;
+  record.vstart = vstart;
+  record.vend = vend;
+  return record;
+}
+
 TEST(Trace, ChromeJsonIsWellFormedIsh) {
   rt::Tracer tracer;
-  tracer.record({1, "spmv \"quoted\"", "spmv_cuda", rt::Arch::kCuda, 3, 0.5, 1.5});
-  tracer.record({2, "sgemm", "sgemm_cpu", rt::Arch::kCpu, 0, 0.0, 0.25});
+  tracer.record(task_record(1, "spmv \"quoted\"", "spmv_cuda",
+                            rt::Arch::kCuda, 3, 0.5, 1.5));
+  tracer.record(task_record(2, "sgemm", "sgemm_cpu",
+                            rt::Arch::kCpu, 0, 0.0, 0.25));
   const std::string json = tracer.to_chrome_json();
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
@@ -100,8 +116,8 @@ TEST(Trace, ChromeJsonIsWellFormedIsh) {
 
 TEST(Trace, TextGanttPaintsWorkers) {
   rt::Tracer tracer;
-  tracer.record({1, "alpha", "a_cpu", rt::Arch::kCpu, 0, 0.0, 0.5});
-  tracer.record({2, "beta", "b_cuda", rt::Arch::kCuda, 1, 0.5, 1.0});
+  tracer.record(task_record(1, "alpha", "a_cpu", rt::Arch::kCpu, 0, 0.0, 0.5));
+  tracer.record(task_record(2, "beta", "b_cuda", rt::Arch::kCuda, 1, 0.5, 1.0));
   const std::string gantt = tracer.to_text_gantt(20);
   EXPECT_NE(gantt.find("worker 0"), std::string::npos);
   EXPECT_NE(gantt.find("worker 1"), std::string::npos);

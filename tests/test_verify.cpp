@@ -107,6 +107,18 @@ std::string main_with_calls(const std::string& calls) {
          "</calls>\n</peppher-main>\n";
 }
 
+/// Just init and consume, each with a cpu variant: a repository that lints
+/// clean on its own, for the run_lint tests.
+desc::Repository make_producer_consumer_repo(const std::string& calls) {
+  desc::Repository repo;
+  repo.load_text(kProducer);
+  repo.load_text(kConsumer);
+  repo.load_text(impl_xml("init_cpu", "init", "cpu"));
+  repo.load_text(impl_xml("consume_cpu", "consume", "cpu"));
+  repo.load_text(main_with_calls(calls), {}, "main.xml");
+  return repo;
+}
+
 int count_code(const VerifyResult& result, const std::string& code) {
   int n = 0;
   for (const diag::Diagnostic& d : result.bag.diagnostics()) {
@@ -166,13 +178,17 @@ TEST(Verify, MixedPlacementForksWorldsAndStaysClean) {
   // consume has only a cuda variant: the read forces a device fetch; the
   // host-pinned producer then writes again. Straight-line, correct, and the
   // abstract state must cover both the fetched and re-invalidated worlds.
+  // The replica does bounce across the link, so the one finding is the
+  // straight-line ping-pong warning PL052 at the cross-side read.
   const VerifyResult result =
       verify("<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
              "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n"
              "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
              "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n",
              {"consume"});
-  EXPECT_TRUE(result.bag.empty()) << result.bag.format_text();
+  ASSERT_EQ(result.bag.diagnostics().size(), 1u) << result.bag.format_text();
+  EXPECT_EQ(count_code(result, "PL052"), 1) << result.bag.format_text();
+  EXPECT_EQ(result.bag.diagnostics()[0].location.line, 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -448,6 +464,44 @@ TEST(Verify, RunLintNeedsOptInForStraightLine) {
       bag.diagnostics().begin(), bag.diagnostics().end(),
       [](const diag::Diagnostic& d) { return d.code == "PL061"; }))
       << bag.format_text();
+}
+
+TEST(Verify, RunLintReportsAStraightLineDeadWriteOnce) {
+  // --verify used to add the verifier's PL062 at the dead write to lint's
+  // PL033 at the overwrite; one hazard analysis reports it once.
+  const desc::Repository repo = make_producer_consumer_repo(
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n");
+  LintOptions options;
+  options.check_sources = false;
+  options.verify = true;
+  const diag::DiagnosticBag bag = analyze::run_lint(repo, options);
+  ASSERT_EQ(bag.diagnostics().size(), 1u) << bag.format_text();
+  EXPECT_EQ(bag.diagnostics()[0].code, "PL033");
+  EXPECT_EQ(bag.diagnostics()[0].location.line, 4);  // the overwriting call
+}
+
+TEST(Verify, StraightLineWindowRacesArePL031AndPL032) {
+  // Two hidden writers and a reader in one read window: the verifier itself
+  // reports the straight-line codes, not their path-sensitive PL065.
+  const VerifyResult result = verify(
+      "<call interface=\"init\"><arg param=\"y\" data=\"v\"/></call>\n"
+      "<call interface=\"sneaky\"><arg param=\"x\" data=\"v\"/></call>\n"
+      "<call interface=\"sneaky\"><arg param=\"x\" data=\"v\"/></call>\n"
+      "<call interface=\"consume\"><arg param=\"x\" data=\"v\"/></call>\n");
+  EXPECT_EQ(count_code(result, "PL031"), 1) << result.bag.format_text();
+  EXPECT_EQ(count_code(result, "PL032"), 1) << result.bag.format_text();
+  EXPECT_EQ(count_code(result, "PL065"), 0) << result.bag.format_text();
+  for (const diag::Diagnostic& d : result.bag.diagnostics()) {
+    if (d.code == "PL031") {
+      EXPECT_EQ(d.location.line, 4);  // the first hidden writer
+      EXPECT_NE(d.message.find("call #4 (consume) reads it"),
+                std::string::npos);
+    } else if (d.code == "PL032") {
+      EXPECT_EQ(d.location.line, 5);  // the second hidden writer
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -732,6 +786,25 @@ std::string jacobi_calls(int nodes) {
       "<gather data=\"u\"/>\n"
       "<gather data=\"unew\"/>\n";
   return calls;
+}
+
+TEST(VerifyDistributed, RunLintAcceptsPerNodeSliceWritesUnderWerror) {
+  // Two pinned writes of one scattered container touch disjoint slices, so
+  // neither overwrites the other (no PL033).
+  const desc::Repository repo = make_producer_consumer_repo(
+      "<partitioned data=\"u\" nodes=\"2\" halo=\"0\"/>\n"
+      "<call interface=\"init\" node=\"0\">"
+      "<arg param=\"y\" data=\"u\"/></call>\n"
+      "<call interface=\"init\" node=\"1\">"
+      "<arg param=\"y\" data=\"u\"/></call>\n"
+      "<gather data=\"u\"/>\n"
+      "<call interface=\"consume\"><arg param=\"x\" data=\"u\"/></call>\n");
+  LintOptions options;
+  options.check_sources = false;
+  options.cluster =
+      sim::ClusterConfig::uniform(2, sim::MachineConfig::platform_c2050());
+  const diag::DiagnosticBag bag = analyze::run_lint(repo, options);
+  EXPECT_TRUE(bag.empty()) << bag.format_text();
 }
 
 TEST(VerifyDistributed, CleanJacobiVerifiesCleanOnTwoAndFourNodes) {

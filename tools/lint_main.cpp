@@ -14,10 +14,10 @@
 //                              same narrowing switch the compose tool takes
 //   --no-sources               skip parsing implementation sources (descriptor
 //                              and hazard checks only)
-//   --verify                   run the coherence verifier (PL060..PL069) even
-//                              for straight-line call sequences; main modules
-//                              with <loop>/<if> or distributed forms are
-//                              always verified
+//   --verify                   report the coherence verifier's coherence-only
+//                              codes (PL060..PL069) for straight-line call
+//                              sequences too; main modules with <loop>/<if>
+//                              or distributed forms always get them
 //   --cluster=<file>           verify against a peppher-cluster v1 profile:
 //                              the abstract machine gains one host + one
 //                              accelerator slot per cluster node and the
