@@ -194,14 +194,8 @@ Engine::Engine(EngineConfig config)
   env.workers = &descs_;
   env.worker_ready_at = [this](WorkerId id) { return worker_ready_at(id); };
   env.eligible = [this](const Task& t, WorkerId id) { return worker_eligible(t, id); };
-  env.estimate_completion = [this](const Task& t, WorkerId id) {
-    return estimate_completion(t, id);
-  };
-  env.estimate_work = [this](const Task& t, WorkerId id) {
-    return estimate_work(t, id);
-  };
-  env.sample_count = [this](const Task& t, WorkerId id) {
-    return exploration_sample_count(t, id);
+  env.estimate = [this](const Task& t, WorkerId id) {
+    return estimate_worker(t, id);
   };
   env.calibration_min = config_.calibration_samples;
   env.rng = &rng_;
@@ -299,20 +293,22 @@ DataHandlePtr Engine::register_buffer(void* host_ptr, std::size_t bytes,
 
 void Engine::acquire_host(const DataHandlePtr& handle, AccessMode mode) {
   check(handle != nullptr, "acquire_host: null handle");
-  std::vector<TaskPtr> pending;
+  TaskPtr writer;
+  std::vector<TaskPtr> readers;
   {
     std::lock_guard<std::mutex> lock(graph_mutex_);
     if (handle->last_writer != nullptr &&
         handle->last_writer->state != TaskState::kDone) {
-      pending.push_back(handle->last_writer);
+      writer = handle->last_writer;
     }
     if (mode != AccessMode::kRead) {
       for (const auto& reader : handle->readers_since_last_write) {
-        if (reader->state != TaskState::kDone) pending.push_back(reader);
+        if (reader->state != TaskState::kDone) readers.push_back(reader);
       }
     }
   }
-  for (const auto& task : pending) wait(task);
+  if (writer != nullptr) wait(writer);
+  for (const auto& task : readers) wait(task);
 
   // A write-mode caller will mutate the host memory raw once this returns;
   // a straggling background prefetch still copying from the host replica
@@ -327,6 +323,7 @@ void Engine::acquire_host(const DataHandlePtr& handle, AccessMode mode) {
     std::lock_guard<std::mutex> lock(graph_mutex_);
     handle->last_writer.reset();
     handle->readers_since_last_write.clear();
+    handle->pruned_readers_vend = 0.0;
   }
 }
 
@@ -344,9 +341,9 @@ bool Engine::prefetch(const DataHandlePtr& handle, MemoryNodeId node) {
     }
   }
   if (handle->is_partitioned() || handle->detached()) return false;
-  handle->acquire(node, AccessMode::kRead, nullptr);
-  handle->release(node);  // a prefetch warms the replica but does not pin it
-  return true;
+  // Warms the replica but does not pin it; refused while a write-mode
+  // acquire of the handle is outstanding (see DataHandle::prefetch).
+  return handle->prefetch(node);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,6 +354,15 @@ void Engine::enqueue_prefetches(const Task& task, WorkerId hint) {
   if (hint < 0) return;  // central queue: no committed destination yet
   const MemoryNodeId node = descs_[static_cast<std::size_t>(hint)].node;
   if (node == kHostNode) return;  // host replicas are valid by construction
+  // Most dispatches find every read operand resident: decide that
+  // without any lock.
+  if (std::none_of(task.spec.operands.begin(), task.spec.operands.end(),
+                   [node](const TaskOperand& op) {
+                     return op.mode == AccessMode::kRead &&
+                            !op.handle->valid_on(node);
+                   })) {
+    return;
+  }
   std::size_t queued = 0;
   {
     std::lock_guard<std::mutex> lock(prefetch_mutex_);
@@ -436,16 +442,20 @@ PrefetchSkipReason Engine::service_prefetch(const PrefetchRequest& request) {
     if (request.handle->last_writer != nullptr &&
         request.handle->last_writer->state != TaskState::kDone) {
       // Raced by a later-submitted writer: the data this prefetch wanted is
-      // being (or about to be) overwritten. Leave the replica invalid — the
-      // writer's own invalidation must not be resurrected by a stale copy.
+      // about to be overwritten, so the copy would be wasted.
       return PrefetchSkipReason::kWriterRace;
     }
   }
   if (request.handle->is_partitioned()) return PrefetchSkipReason::kPartitioned;
   if (request.handle->detached()) return PrefetchSkipReason::kDetached;
   try {
-    request.handle->acquire(request.node, AccessMode::kRead, nullptr);
-    request.handle->release(request.node);  // warm but unpinned: evictable
+    // The check above is advisory: a writer may acquire the handle right
+    // after it. The handle itself refuses under its own lock while any
+    // write-mode acquire is outstanding, so the copy can never downgrade a
+    // writer's owned replica before its mark_written.
+    if (!request.handle->prefetch(request.node)) {
+      return PrefetchSkipReason::kWriterRace;
+    }
   } catch (...) {
     // A failed prefetch is a lost hint, never an error.
     return PrefetchSkipReason::kTransferFailed;
@@ -626,21 +636,37 @@ TaskPtr Engine::submit(TaskSpec spec) {
           }
         }
       } else {
+        // Most tasks gain a few successors: one allocation, not three.
+        if (pred->successors.empty()) pred->successors.reserve(4);
         pred->successors.push_back(task);
         ++task->unmet_dependencies;
       }
     };
     for (const auto& op : task->spec.operands) {
+      DataHandle& handle = *op.handle;
+      add_dependency(handle.last_writer);
+      std::vector<TaskPtr>& readers = handle.readers_since_last_write;
       if (op.mode == AccessMode::kRead) {
-        add_dependency(op.handle->last_writer);
-        op.handle->readers_since_last_write.push_back(task);
-      } else {
-        add_dependency(op.handle->last_writer);
-        for (const auto& reader : op.handle->readers_since_last_write) {
-          add_dependency(reader);
+        // A reader that completed without error constrains the next
+        // writer only through its vend: fold it into the handle instead
+        // of keeping the task alive (a read-only operand such as a
+        // Jacobian would otherwise pin every reader of a whole solve).
+        while (!readers.empty() &&
+               readers.back()->state.load(std::memory_order_seq_cst) ==
+                   TaskState::kDone &&
+               !readers.back()->failed()) {
+          handle.pruned_readers_vend =
+              std::max(handle.pruned_readers_vend, readers.back()->vend);
+          readers.pop_back();
         }
-        op.handle->readers_since_last_write.clear();
-        op.handle->last_writer = task;
+        readers.push_back(task);
+      } else {
+        for (const auto& reader : readers) add_dependency(reader);
+        task->max_pred_end =
+            std::max(task->max_pred_end, handle.pruned_readers_vend);
+        readers.clear();
+        handle.pruned_readers_vend = 0.0;
+        handle.last_writer = task;
       }
     }
 
@@ -655,7 +681,7 @@ TaskPtr Engine::submit(TaskSpec spec) {
   if (dispatch) dispatch_ready(task);
   for (const TaskPtr& ready : ready_at_submit) dispatch_ready(ready);
   if (!cancelled_at_submit.empty()) {
-    notify_task_done();
+    notify_task_done(cancelled_at_submit);
     for (const TaskPtr& done : cancelled_at_submit) {
       if (done->spec.on_complete) done->spec.on_complete(*done);
     }
@@ -670,26 +696,31 @@ TaskPtr Engine::submit(TaskSpec spec) {
 // ---------------------------------------------------------------------------
 // waiting
 //
-// Waiters never touch graph_mutex_: they register in waiters_ (seq_cst),
-// then sleep on done_cv_ re-checking an atomic predicate (task state /
-// inflight count). Completers store the predicate's state (seq_cst), then
-// read waiters_; the seq_cst total order guarantees either the completer
-// sees the registration (and notifies under done_mutex_, which cannot race
-// past a waiter that is between predicate check and sleep) or the waiter's
-// predicate load sees the store and never blocks.
+// Waiters never touch graph_mutex_. An application thread first helps
+// (help_until): it runs the queues of parked workers itself until its
+// condition holds. If that is not enough, it registers (Task::waiters or
+// all_waiters_, seq_cst), then sleeps on done_cv_ re-checking an atomic
+// predicate (task state / inflight count). Completers store the
+// predicate's state (seq_cst), then read the registration; the seq_cst
+// total order guarantees either the completer sees the registration (and
+// notifies under done_mutex_, which cannot race past a waiter that is
+// between predicate check and sleep) or the waiter's predicate load sees
+// the store and never blocks.
 // ---------------------------------------------------------------------------
 
 void Engine::wait(const TaskPtr& task) {
   check(task != nullptr, "wait: null task");
-  if (task->state.load(std::memory_order_seq_cst) != TaskState::kDone) {
-    task_waiters_.fetch_add(1, std::memory_order_seq_cst);
+  const auto done = [&] {
+    return task->state.load(std::memory_order_seq_cst) == TaskState::kDone;
+  };
+  if (!done()) help_until(done);
+  if (!done()) {
+    task->waiters.fetch_add(1, std::memory_order_seq_cst);
     {
       std::unique_lock<std::mutex> lock(done_mutex_);
-      done_cv_.wait(lock, [&] {
-        return task->state.load(std::memory_order_seq_cst) == TaskState::kDone;
-      });
+      done_cv_.wait(lock, done);
     }
-    task_waiters_.fetch_sub(1, std::memory_order_seq_cst);
+    task->waiters.fetch_sub(1, std::memory_order_seq_cst);
   }
   if (task->error != nullptr) {
     std::rethrow_exception(task->error);
@@ -697,21 +728,27 @@ void Engine::wait(const TaskPtr& task) {
 }
 
 void Engine::wait_for_all() {
-  if (inflight_.load(std::memory_order_seq_cst) == 0) return;
+  const auto idle = [&] {
+    return inflight_.load(std::memory_order_seq_cst) == 0;
+  };
+  if (idle()) return;
+  help_until(idle);
+  if (idle()) return;
   all_waiters_.fetch_add(1, std::memory_order_seq_cst);
   {
     std::unique_lock<std::mutex> lock(done_mutex_);
-    done_cv_.wait(lock, [&] {
-      return inflight_.load(std::memory_order_seq_cst) == 0;
-    });
+    done_cv_.wait(lock, idle);
   }
   all_waiters_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
-void Engine::notify_task_done() {
-  if (task_waiters_.load(std::memory_order_seq_cst) == 0) return;
-  { std::lock_guard<std::mutex> lock(done_mutex_); }
-  done_cv_.notify_all();
+void Engine::notify_task_done(const std::vector<TaskPtr>& completed) {
+  for (const TaskPtr& task : completed) {
+    if (task->waiters.load(std::memory_order_seq_cst) == 0) continue;
+    { std::lock_guard<std::mutex> lock(done_mutex_); }
+    done_cv_.notify_all();
+    return;
+  }
 }
 
 void Engine::notify_idle() {
@@ -732,6 +769,7 @@ void Engine::notify_idle() {
 void Engine::worker_main(WorkerId id) {
   t_worker_id = id;
   Worker& worker = *workers_[static_cast<std::size_t>(id)];
+  std::unique_lock<std::mutex> run(worker.run_mutex);
   while (true) {
     TaskPtr task = scheduler_->pop(id);
     if (task == nullptr) {
@@ -741,17 +779,55 @@ void Engine::worker_main(WorkerId id) {
       worker.slot.announce();
       task = scheduler_->pop(id);
       if (task == nullptr) {
+        // Parked, the worker is free for a waiting thread to run as.
+        run.unlock();
         if (!worker.slot.park([this] {
               return stopping_.load(std::memory_order_seq_cst);
             })) {
           return;  // stopped without a token
         }
+        run.lock();
         continue;  // token consumed — re-check the queues
       }
       worker.slot.cancel();
     }
     task->state.store(TaskState::kRunning, std::memory_order_relaxed);
     execute(task, worker);
+  }
+}
+
+template <typename Done>
+void Engine::help_until(const Done& done) {
+  if (t_worker_id >= 0) return;  // worker threads never help
+  // While running as a worker, this thread carries that worker's id, so
+  // self-claims and window commits treat it as the worker it stands in for.
+  struct AsWorker {
+    explicit AsWorker(WorkerId id) { t_worker_id = id; }
+    ~AsWorker() { t_worker_id = -1; }
+  };
+  bool progress = true;
+  while (progress && !done()) {
+    progress = false;
+    for (const auto& worker : workers_) {
+      const WorkerId id = worker->desc.id;
+      if (!scheduler_->has_queued(id)) continue;
+      std::unique_lock<std::mutex> run(worker->run_mutex, std::try_to_lock);
+      if (!run.owns_lock()) continue;  // its own thread is running
+      {
+        AsWorker as(id);
+        while (!done()) {
+          TaskPtr task = scheduler_->pop(id);
+          if (task == nullptr) break;
+          task->state.store(TaskState::kRunning, std::memory_order_relaxed);
+          execute(task, *worker);
+          progress = true;
+        }
+      }
+      run.unlock();
+      // Tasks this thread self-claimed or left queued got no wakeup.
+      if (scheduler_->has_queued(id)) worker->slot.unpark();
+      if (done()) return;
+    }
   }
 }
 
@@ -804,11 +880,16 @@ void Engine::wake_workers(std::uint64_t eligible_mask, WorkerId hint,
     }
   }
   if (hint >= 0) {
-    // The task sits in one worker's own queue: wake that worker. If it is
-    // busy, only a stealing policy lets someone else take the task — then
-    // wake one idle eligible thief; otherwise the owner picks it up when
-    // its current task finishes.
-    if (workers_[static_cast<std::size_t>(hint)]->slot.unpark()) return;
+    // The task sits in one worker's own queue: wake that worker — unless
+    // this thread runs as it, and re-checks the queue before it parks (or,
+    // helping, before it lets go of the worker). If the worker is busy,
+    // only a stealing policy lets someone else take the task — then wake
+    // one idle eligible thief; otherwise the owner picks it up when its
+    // current task finishes.
+    if (hint != t_worker_id &&
+        workers_[static_cast<std::size_t>(hint)]->slot.unpark()) {
+      return;
+    }
     if (!scheduler_->work_stealing()) return;
   }
   const std::size_t n = workers_.size();
@@ -912,20 +993,24 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   }
 
   // Really run the kernel (numerics), measuring wall time as the fallback
-  // virtual cost when no cost hint exists.
-  bool injected_kernel_fault = false;
+  // virtual cost when no cost hint exists (only then: two clock reads per
+  // task are a measurable share of a microsecond kernel's overhead).
+  const bool kernel_runs = !task->failed();
   double wall_seconds = 0.0;
-  if (!task->failed()) {
+  if (kernel_runs) {
     const int node_cores =
         cluster_.nodes[static_cast<std::size_t>(worker.desc.sim_node)]
             .machine.cpu_cores;
     ExecContext ctx(impl->arch, worker.desc.id,
                     worker.desc.is_combined_cpu ? node_cores : 1, buffers,
                     buffer_bytes, element_sizes, task->spec.arg.get());
-    const auto wall_start = std::chrono::steady_clock::now();
+    const bool timed = !impl->cost;
+    std::chrono::steady_clock::time_point wall_start;
+    if (timed) wall_start = std::chrono::steady_clock::now();
     try {
       if (injector != nullptr && injector->next_kernel_fails()) {
-        injected_kernel_fault = true;
+        fault_counters_.injected_kernel_faults.fetch_add(
+            1, std::memory_order_relaxed);
         throw Error(ErrorCode::kIoError,
                     "injected transient kernel fault on '" +
                         worker.desc.profile.name + "'");
@@ -936,14 +1021,18 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
       // as failed (or is retried), waiters observe the final outcome.
       task->error = std::current_exception();
     }
-    const auto wall_end = std::chrono::steady_clock::now();
-    wall_seconds = std::chrono::duration<double>(wall_end - wall_start).count();
+    if (timed) {
+      wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - wall_start)
+                         .count();
+    }
   }
 
   double exec_seconds = wall_seconds;
-  // An injected transient fault still charges the cost model: the device
-  // spent the kernel's time before the failure was noticed.
-  if (impl->cost && (!task->failed() || injected_kernel_fault)) {
+  // A kernel that ran is charged its cost model even when it failed
+  // (injected or real): the device spent the kernel's time before the
+  // failure was noticed.
+  if (impl->cost && kernel_runs) {
     exec_seconds =
         sim::execution_seconds(worker.desc.profile, impl->cost(buffer_bytes,
                                                                task->spec.arg.get()));
@@ -987,10 +1076,6 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   if (task->failed()) {
     worker.failed_attempts.fetch_add(1, std::memory_order_relaxed);
     fault_counters_.failed_attempts.fetch_add(1, std::memory_order_relaxed);
-    if (injected_kernel_fault) {
-      fault_counters_.injected_kernel_faults.fetch_add(
-          1, std::memory_order_relaxed);
-    }
   } else {
     worker.tasks_executed.fetch_add(1, std::memory_order_relaxed);
     arch_counts_[static_cast<std::size_t>(impl->arch)].fetch_add(
@@ -1123,7 +1208,8 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     complete_locked(task, completed_now, ready_now);
   }
   for (const TaskPtr& ready : ready_now) dispatch_ready(ready, &self_claim);
-  notify_task_done();  // wake wait(task) callers promptly, before callbacks
+  // Wake wait(task) callers promptly, before callbacks.
+  notify_task_done(completed_now);
   for (const TaskPtr& done : completed_now) {
     if (done->spec.on_complete) {
       done->spec.on_complete(*done);
@@ -1146,23 +1232,23 @@ void Engine::complete_locked(const TaskPtr& task,
   // task's result fields to lock-free waiters; completion callbacks of
   // everything appended to `completed` and the dispatch of everything in
   // `ready` are the caller's job (outside the lock).
-  // Scratch for the transitive-cancellation walk; complete_locked never
-  // nests (it runs under graph_mutex_), so one slot per thread suffices.
+  // Scratch for the transitive-cancellation walk (depth first); it never
+  // nests (complete_locked runs under graph_mutex_), so one slot per thread
+  // suffices. `current` lives in `completed`, which owns it from here on.
   thread_local std::vector<TaskPtr> finishing;
   finishing.clear();
-  finishing.push_back(task);
-  while (!finishing.empty()) {
-    TaskPtr current = std::move(finishing.back());
-    finishing.pop_back();
+  completed.push_back(task);
+  while (true) {
+    Task* current = completed.back().get();
     current->state.store(TaskState::kDone, std::memory_order_seq_cst);
-    completed.push_back(current);
     if (current->failed()) {
       fault_counters_.tasks_failed.fetch_add(1, std::memory_order_relaxed);
     } else if (current->attempts > 0 && current->first_failed_arch &&
                current->executed_arch != *current->first_failed_arch) {
       fault_counters_.fallbacks.fetch_add(1, std::memory_order_relaxed);
     }
-    for (const auto& successor : current->successors) {
+    // Successor edges die here: move them out rather than copy.
+    for (TaskPtr& successor : current->successors) {
       successor->max_pred_end =
           std::max(successor->max_pred_end, current->vend);
       if (current->failed() && !successor->failed()) {
@@ -1177,7 +1263,8 @@ void Engine::complete_locked(const TaskPtr& task,
           successor->state.load(std::memory_order_relaxed) ==
               TaskState::kBlocked) {
         if (successor->failed()) {
-          finishing.push_back(successor);  // cancel: complete without running
+          // Cancel: complete without running.
+          finishing.push_back(std::move(successor));
         } else if (!has_eligible_worker(*successor)) {
           // A device death since submission can strand a ready successor
           // (e.g. forced to the dead worker); fail it instead of pushing a
@@ -1189,13 +1276,16 @@ void Engine::complete_locked(const TaskPtr& task,
           } catch (...) {
             successor->error = std::current_exception();
           }
-          finishing.push_back(successor);
+          finishing.push_back(std::move(successor));
         } else {
-          ready.push_back(successor);
+          ready.push_back(std::move(successor));
         }
       }
     }
     current->successors.clear();
+    if (finishing.empty()) return;
+    completed.push_back(std::move(finishing.back()));
+    finishing.pop_back();
   }
 }
 
@@ -1317,16 +1407,20 @@ VirtualTime Engine::worker_ready_at(WorkerId id) const {
 }
 
 double Engine::estimate_exec_seconds(const Task& task, const WorkerDesc& worker,
-                                     const Implementation& impl) const {
-  const std::string& codelet = task.spec.codelet->name();
+                                     const Implementation& impl,
+                                     std::uint64_t* samples) const {
   if (config_.use_history_models) {
-    // Shared with peppher-predict (PerfRegistry::estimate_exec) so static
-    // per-task estimates agree with the scheduler's to round-off.
-    if (auto history = perf_.estimate_exec(
-            codelet, impl.arch, task.footprint, task.total_bytes,
-            static_cast<std::uint64_t>(config_.calibration_samples))) {
-      return *history;
+    const PerfRegistry::HistoryQuery history = perf_.query(
+        task.spec.codelet->name(), impl.arch, task.footprint, task.total_bytes,
+        static_cast<std::uint64_t>(config_.calibration_samples));
+    if (samples != nullptr) {
+      // A variant with a usable regression fit does not need per-size
+      // recalibration of an unseen footprint.
+      *samples = history.samples == 0 && history.regression
+                     ? std::numeric_limits<std::uint64_t>::max()
+                     : history.samples;
     }
+    if (history.exec) return *history.exec;
   }
   if (impl.cost) {
     return sim::execution_seconds(worker.profile,
@@ -1336,43 +1430,32 @@ double Engine::estimate_exec_seconds(const Task& task, const WorkerDesc& worker,
   return 1e-3;  // nothing known: a neutral guess
 }
 
-double Engine::estimate_completion(const Task& task, WorkerId id) const {
-  if (!worker_eligible(task, id)) return kInf;
+WorkerEstimate Engine::estimate_worker(const Task& task, WorkerId id) const {
   const WorkerDesc& worker = descs_[static_cast<std::size_t>(id)];
   const Implementation* impl = select_impl(task, worker);
   check(impl != nullptr, "eligible worker without implementation");
+  WorkerEstimate estimate;
   double fetch = 0.0;
   for (const auto& op : task.spec.operands) {
     fetch += op.handle->estimate_fetch_seconds(worker.node, op.mode);
   }
-  const double exec = estimate_exec_seconds(task, worker, *impl);
+  const double exec =
+      estimate_exec_seconds(task, worker, *impl, &estimate.samples);
   if (config_.objective == Objective::kEnergy) {
     // Energy score: joules for the execution plus the transfer (the PCIe
     // link drawn at a nominal 10 W). Worker readiness is irrelevant —
     // energy is additive, not overlappable.
-    return exec * worker.profile.busy_watts + fetch * 10.0;
+    estimate.completion = exec * worker.profile.busy_watts + fetch * 10.0;
+    estimate.work = estimate.completion;
+    return estimate;
   }
   // The task cannot start before its predecessors finished, no matter how
   // idle a worker is — without this bound, tightly chained task graphs
   // ping-pong to whichever worker's clock lags behind.
   const double start = std::max(worker_ready_at(id), task.max_pred_end);
-  return start + fetch + exec;
-}
-
-double Engine::estimate_work(const Task& task, WorkerId id) const {
-  if (!worker_eligible(task, id)) return kInf;
-  const WorkerDesc& worker = descs_[static_cast<std::size_t>(id)];
-  const Implementation* impl = select_impl(task, worker);
-  check(impl != nullptr, "eligible worker without implementation");
-  double fetch = 0.0;
-  for (const auto& op : task.spec.operands) {
-    fetch += op.handle->estimate_fetch_seconds(worker.node, op.mode);
-  }
-  const double exec = estimate_exec_seconds(task, worker, *impl);
-  if (config_.objective == Objective::kEnergy) {
-    return exec * worker.profile.busy_watts + fetch * 10.0;
-  }
-  return fetch + exec;
+  estimate.completion = start + fetch + exec;
+  estimate.work = fetch + exec;
+  return estimate;
 }
 
 double Engine::estimate_exec_only(const Task& task, WorkerId id) const {
@@ -1383,7 +1466,7 @@ double Engine::estimate_exec_only(const Task& task, WorkerId id) const {
   const double exec = estimate_exec_seconds(task, worker, *impl);
   if (config_.objective == Objective::kEnergy) {
     // The window planner minimises its makespan objective; under the
-    // energy goal score execution the same way estimate_work does (the
+    // energy goal score execution the same way estimate_worker does (the
     // planner's transfer term then adds the link-side joules implicitly).
     return exec * worker.profile.busy_watts;
   }
@@ -1408,23 +1491,6 @@ void Engine::commit_window_task(const TaskPtr& task, WorkerId worker,
   if (worker != t_worker_id) {
     workers_[static_cast<std::size_t>(worker)]->slot.unpark();
   }
-}
-
-std::uint64_t Engine::exploration_sample_count(const Task& task, WorkerId id) const {
-  constexpr std::uint64_t kNoExploration = std::numeric_limits<std::uint64_t>::max();
-  if (!config_.use_history_models) return kNoExploration;
-  if (!worker_eligible(task, id)) return kNoExploration;
-  const WorkerDesc& worker = descs_[static_cast<std::size_t>(id)];
-  const Implementation* impl = select_impl(task, worker);
-  const std::string& codelet = task.spec.codelet->name();
-  // A variant with a usable regression fit does not need per-size
-  // recalibration.
-  if (perf_.regression_estimate(codelet, impl->arch, task.total_bytes)) {
-    const std::uint64_t exact =
-        perf_.sample_count(codelet, impl->arch, task.footprint);
-    if (exact == 0) return kNoExploration;
-  }
-  return perf_.sample_count(codelet, impl->arch, task.footprint);
 }
 
 // ---------------------------------------------------------------------------

@@ -23,9 +23,18 @@
 // DataHandle::last_writer/readers_since_last_write) and is taken at submit
 // and completion. Scheduler queues carry their own per-worker locks; each
 // worker sleeps on its own ParkSlot and is woken individually. Clocks,
-// counters and stats are atomics. Lock hierarchy (outer to inner):
-// graph_mutex_ → scheduler queue locks → ParkSlot/done_mutex_ → handle
-// mutexes are taken on their own, never under graph_mutex_.
+// counters and stats are atomics.
+//
+// Who runs a task: the thread that holds its worker's run mutex. That is
+// the worker's own thread, except while the thread is parked: then an
+// application thread blocked in wait(), acquire_host() or wait_for_all()
+// may claim the worker and run its queue in the worker's name (same
+// clock, scratch buffers and stats) instead of sleeping — no thread
+// handoff for a chain the caller is about to wait for anyway.
+//
+// Lock hierarchy (outer to inner): Worker::run_mutex → graph_mutex_ →
+// scheduler queue locks → ParkSlot/done_mutex_. Handle mutexes are taken
+// under a run mutex but never under graph_mutex_.
 #pragma once
 
 #include <array>
@@ -358,6 +367,12 @@ class Engine {
     /// condition variable broadcast on every submit/complete).
     ParkSlot slot;
 
+    /// Held by whichever thread executes as this worker: its own thread,
+    /// released only while it parks, or a waiting application thread that
+    /// claimed the parked worker (caller-runs, see help_until). Outermost
+    /// engine lock.
+    std::mutex run_mutex;
+
     /// Virtual clock and execution counters. Atomics so schedulers and
     /// introspection read them without any engine lock; written only by
     /// the owning worker thread (and reset_virtual_time, which quiesces
@@ -369,7 +384,7 @@ class Engine {
     std::atomic<double> energy_joules{0.0};
 
     // Per-worker scratch reused across executions so the task hot path is
-    // allocation-free in steady state. Touched only by the owning thread.
+    // allocation-free in steady state. Touched only under run_mutex.
     std::vector<void*> buffers;
     std::vector<std::size_t> buffer_bytes;
     std::vector<std::size_t> element_sizes;
@@ -392,6 +407,15 @@ class Engine {
 
   void worker_main(WorkerId id);
   void execute(const TaskPtr& task, Worker& worker);
+
+  /// Caller-runs wait: until `done()` holds, claims parked workers that
+  /// have queued tasks (try-lock of their run mutex) and runs those tasks
+  /// in the workers' names on the calling thread. Returns when `done()`
+  /// holds or no claimable worker has work; the caller then sleeps as
+  /// usual. A worker left with queued tasks is woken. No-op on worker
+  /// threads, so a wait() inside a completion callback sleeps as before.
+  template <typename Done>
+  void help_until(const Done& done);
 
   /// One queued automatic prefetch: warm `handle` on `node`.
   struct PrefetchRequest {
@@ -434,9 +458,10 @@ class Engine {
   void wake_workers(std::uint64_t eligible_mask, WorkerId hint,
                     bool* self_claim);
 
-  /// Wakes threads blocked in wait(task) if any are registered (Dekker
-  /// handshake on task_waiters_; see wait()).
-  void notify_task_done();
+  /// Wakes threads blocked in wait(task) if one of the `completed` tasks
+  /// has a registered waiter (Dekker handshake on Task::waiters; see
+  /// wait()).
+  void notify_task_done(const std::vector<TaskPtr>& completed);
   /// Wakes threads blocked in wait_for_all() — only when inflight_ has
   /// actually reached zero, so a draining pipeline doesn't wake the waiter
   /// once per completed task.
@@ -483,10 +508,15 @@ class Engine {
   /// clock (per-core) or the host-group maximum (combined worker).
   VirtualTime worker_ready_at(WorkerId id) const;
 
+  /// Expected execution seconds of `impl` on `worker`: the history model
+  /// when calibrated (or regressed), else the cost hint. `samples`, when
+  /// given, receives the exploration sample count (see WorkerEstimate).
   double estimate_exec_seconds(const Task& task, const WorkerDesc& worker,
-                               const Implementation& impl) const;
-  double estimate_completion(const Task& task, WorkerId id) const;
-  double estimate_work(const Task& task, WorkerId id) const;
+                               const Implementation& impl,
+                               std::uint64_t* samples = nullptr) const;
+
+  /// SchedEnv::estimate — one pass over the history and the operands.
+  WorkerEstimate estimate_worker(const Task& task, WorkerId id) const;
 
   /// Execution-only estimate for the lookahead window planner (no fetch,
   /// no readiness; the planner prices transfers itself).
@@ -498,7 +528,6 @@ class Engine {
   void commit_window_task(const TaskPtr& task, WorkerId worker,
                           const SchedDecision& decision);
 
-  std::uint64_t exploration_sample_count(const Task& task, WorkerId id) const;
 
   EngineConfig config_;
   /// Resolved cluster: config_.cluster, or a synthesized one-node cluster
@@ -586,21 +615,21 @@ class Engine {
   FaultCounters fault_counters_;
   std::atomic<std::size_t> wake_rr_{0};  ///< round-robin wake start point
 
-  // Waiter protocol for wait()/wait_for_all(): waiters register in the
-  // matching counter before sleeping on done_cv_; completers skip the cv
-  // entirely when nobody is registered. The counters are split so that a
-  // wait_for_all() caller is only woken when inflight_ actually reaches
-  // zero — with one shared counter, every completion of a long task drain
-  // would futex-wake the waiter just for it to re-check and sleep again
-  // (two context switches per task). See notify_task_done()/notify_idle().
   /// Shadow-checker observation log (config_.verify_shadow only); appended
   /// by workers at task start, outside every other engine lock.
   mutable std::mutex shadow_mutex_;
   std::vector<ShadowRecord> shadow_log_;
 
+  // Waiter protocol for wait()/wait_for_all(): waiters register before
+  // sleeping on done_cv_ — wait(task) in that task's Task::waiters,
+  // wait_for_all() in all_waiters_ — and completers skip the cv entirely
+  // when nobody is registered. A completion therefore wakes only threads
+  // waiting for that task, and a wait_for_all() caller only when inflight_
+  // actually reaches zero; otherwise every completion of a chain would
+  // futex-wake the waiter just for it to re-check and sleep again (two
+  // context switches per task). See notify_task_done()/notify_idle().
   mutable std::mutex done_mutex_;
   mutable std::condition_variable done_cv_;
-  mutable std::atomic<std::uint64_t> task_waiters_{0};  ///< wait(task)
   mutable std::atomic<std::uint64_t> all_waiters_{0};   ///< wait_for_all()
 };
 

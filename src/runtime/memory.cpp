@@ -36,6 +36,7 @@ DataHandle::DataHandle(DataManager* manager, void* host_ptr, std::size_t bytes,
         "buffer size must be a multiple of the element size");
   replicas_[kHostNode].ptr = host_ptr_;
   replicas_[kHostNode].state = ReplicaState::kOwned;
+  publish_states_locked();
   if (manager->shadow_checking()) {
     shadow_.assign(replicas_.size(), ReplicaState::kInvalid);
     shadow_[kHostNode] = ReplicaState::kOwned;
@@ -72,15 +73,33 @@ DataHandle::~DataHandle() {
   }
 }
 
+void DataHandle::publish_states_locked() noexcept {
+  std::uint64_t mask = 0;
+  const std::size_t count = std::min<std::size_t>(replicas_.size(), 64);
+  for (std::size_t n = 0; n < count; ++n) {
+    if (replicas_[n].state != ReplicaState::kInvalid) {
+      mask |= std::uint64_t{1} << n;
+    }
+  }
+  valid_mask_.store(mask, std::memory_order_release);
+}
+
+bool DataHandle::valid_on(MemoryNodeId node) const noexcept {
+  if (node >= 64) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return replicas_[static_cast<std::size_t>(node)].state !=
+           ReplicaState::kInvalid;
+  }
+  return (valid_mask_.load(std::memory_order_acquire) >>
+          static_cast<unsigned>(node)) & 1;
+}
+
 bool DataHandle::is_partitioned() const noexcept {
+  if (!partitioned_.load(std::memory_order_acquire)) return false;
+  // Partitioned and not unpartitioned: the children may all have died.
   std::lock_guard<std::mutex> lock(mutex_);
   return std::any_of(children_.begin(), children_.end(),
                      [](const std::weak_ptr<DataHandle>& c) { return !c.expired(); });
-}
-
-bool DataHandle::detached() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return detached_;
 }
 
 void DataHandle::ensure_allocated(MemoryNodeId node) {
@@ -159,7 +178,29 @@ MemoryNodeId DataHandle::pick_source_locked(MemoryNodeId node) const {
 void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
                           VirtualTime* data_ready) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (detached_) {
+  void* ptr = acquire_locked(node, mode, data_ready);
+  if (node != kHostNode) {
+    ++replicas_[static_cast<std::size_t>(node)].pins;  // until release(node)
+  }
+  return ptr;
+}
+
+bool DataHandle::prefetch(MemoryNodeId node) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (writes_outstanding_ > 0) return false;
+  acquire_locked(node, AccessMode::kRead, nullptr);
+  return true;
+}
+
+void* DataHandle::acquire_locked(MemoryNodeId node, AccessMode mode,
+                                 VirtualTime* data_ready) {
+  // Republish on every exit: a fetch that fails on its second hop still
+  // left a valid replica on the first.
+  struct Publish {
+    DataHandle* handle;
+    ~Publish() { handle->publish_states_locked(); }
+  } publish{this};
+  if (detached_.load(std::memory_order_relaxed)) {
     throw Error(ErrorCode::kInvalidState,
                 "access to a sub-handle after unpartition()");
   }
@@ -197,13 +238,13 @@ void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
       }
     }
     replica.state = ReplicaState::kOwned;
+    ++writes_outstanding_;  // until mark_written
   } else {
     ++read_uses_;
   }
 
   shadow_transition_locked("acquire", node, mode);
 
-  if (node != kHostNode) ++replica.pins;  // released by release(node)
   if (data_ready != nullptr) *data_ready = ready;
   return replica.ptr;
 }
@@ -227,7 +268,8 @@ bool DataHandle::try_evict(MemoryNodeId node) {
   for (const auto& weak_child : children_) {
     if (!weak_child.expired()) return false;  // parent blocked by partition
   }
-  if (replica.state == ReplicaState::kOwned && !detached_) {
+  const bool detached = detached_.load(std::memory_order_relaxed);
+  if (replica.state == ReplicaState::kOwned && !detached) {
     // Sole valid copy: flush it to its own node's host before dropping it
     // (§IV-D: future use "would require re-allocation" — and a fresh
     // transfer).
@@ -238,7 +280,8 @@ bool DataHandle::try_evict(MemoryNodeId node) {
   replica.state = ReplicaState::kInvalid;
   replica.storage.reset();
   replica.ptr = nullptr;
-  if (!shadow_.empty() && !detached_) {
+  publish_states_locked();
+  if (!shadow_.empty() && !detached) {
     msi::apply_evict(shadow_, node, manager_->topo());
     shadow_check_locked("evict");
   }
@@ -253,6 +296,7 @@ void DataHandle::mark_written(MemoryNodeId node, VirtualTime vend) {
   check(replica.state == ReplicaState::kOwned,
         "mark_written on a non-owned replica");
   replica.valid_at = vend;
+  if (writes_outstanding_ > 0) --writes_outstanding_;
   shadow_check_locked("mark_written");  // no transition: states must agree
 }
 
@@ -264,6 +308,7 @@ void DataHandle::reset_virtual_time() {
 double DataHandle::estimate_fetch_seconds(MemoryNodeId node,
                                           AccessMode mode) const {
   if (mode == AccessMode::kWrite) return 0.0;
+  if (valid_on(node)) return 0.0;  // the common case, without the lock
   std::lock_guard<std::mutex> lock(mutex_);
   const Replica& replica = replicas_[static_cast<std::size_t>(node)];
   if (replica.state != ReplicaState::kInvalid) return 0.0;
@@ -365,6 +410,7 @@ std::vector<DataHandlePtr> DataHandle::partition(std::size_t parts) {
     replicas_[n].state = ReplicaState::kInvalid;
   }
   replicas_[kHostNode].state = ReplicaState::kOwned;
+  publish_states_locked();
   if (!shadow_.empty()) {
     msi::apply_host_reclaim(shadow_);
     shadow_check_locked("partition");
@@ -388,6 +434,7 @@ std::vector<DataHandlePtr> DataHandle::partition(std::size_t parts) {
     out.push_back(std::move(child));
     offset_elems += count;
   }
+  partitioned_.store(true, std::memory_order_release);
   return out;
 }
 
@@ -405,13 +452,15 @@ void DataHandle::unpartition() {
         }
       }
     }
-    child->detached_ = true;
+    child->detached_.store(true, std::memory_order_release);
   }
   children_.clear();
+  partitioned_.store(false, std::memory_order_release);
   for (std::size_t n = 1; n < replicas_.size(); ++n) {
     replicas_[n].state = ReplicaState::kInvalid;
   }
   replicas_[kHostNode].state = ReplicaState::kOwned;
+  publish_states_locked();
   if (!shadow_.empty()) {
     msi::apply_host_reclaim(shadow_);
     shadow_check_locked("unpartition");

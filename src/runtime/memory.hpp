@@ -80,11 +80,14 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   /// True for a sub-handle created by partition().
   bool is_child() const noexcept { return parent_ != nullptr; }
   /// True while this handle has live children (it must not be accessed).
+  /// Lock-free unless the handle was partitioned and not unpartitioned.
   bool is_partitioned() const noexcept;
 
   /// True for a sub-handle whose parent was unpartitioned (permanently
-  /// unusable).
-  bool detached() const noexcept;
+  /// unusable). Lock-free.
+  bool detached() const noexcept {
+    return detached_.load(std::memory_order_acquire);
+  }
 
   /// Ensures a valid replica on `node` for the given access and returns its
   /// pointer. Performs any needed allocation and (real) copy, updates MSI
@@ -107,8 +110,16 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   bool try_evict(MemoryNodeId node);
 
   /// Records that a task finished writing this handle on `node` at virtual
-  /// time `vend` (refreshes the replica's validity timestamp).
+  /// time `vend` (refreshes the replica's validity timestamp). Ends the
+  /// write that a write-mode acquire(node) began.
   void mark_written(MemoryNodeId node, VirtualTime vend);
+
+  /// Background prefetch: makes a valid, unpinned replica on `node`, like
+  /// acquire(node, kRead) + release(node), unless a write-mode acquire of
+  /// this handle is outstanding on any node (host included) — copying
+  /// then would downgrade the writer's owned replica under it. Decided
+  /// and copied under the handle lock. Returns false when refused.
+  bool prefetch(MemoryNodeId node);
 
   /// Zeroes every replica's validity timestamp. Called by the manager's
   /// reset_virtual_time(): `valid_at` is a virtual time, so pre-staged data
@@ -136,6 +147,11 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
 
   ReplicaState replica_state(MemoryNodeId node) const;
 
+  /// replica_state(node) != kInvalid as of the last coherence event, read
+  /// without the handle lock: a hint for scheduling estimates and prefetch
+  /// decisions, which act on a snapshot anyway.
+  bool valid_on(MemoryNodeId node) const noexcept;
+
   // -- prefetch accounting (scheduler-driven prefetch, §IV-H) ---------------
 
   /// Marks a background prefetch of this handle to `node` as queued. Until
@@ -159,7 +175,12 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   // -- dependency metadata (used by the Engine under its submission lock) ---
 
   std::shared_ptr<Task> last_writer;
+  /// Readers submitted since the last write that the next writer must
+  /// order after. Successful readers that completed are pruned from the
+  /// back as new readers arrive; `pruned_readers_vend` keeps the latest
+  /// vend among them, which still bounds the next writer's start.
   std::vector<std::shared_ptr<Task>> readers_since_last_write;
+  VirtualTime pruned_readers_vend = 0.0;
 
  private:
   friend class DataManager;
@@ -188,6 +209,14 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   void* replica_ptr(MemoryNodeId node);
   void ensure_allocated(MemoryNodeId node);
 
+  /// acquire() without the lock and the pin. Caller holds mutex_.
+  void* acquire_locked(MemoryNodeId node, AccessMode mode,
+                       VirtualTime* data_ready);
+
+  /// Republishes valid_mask_ from the replica states. Caller holds mutex_
+  /// and calls it after every change of a replica state.
+  void publish_states_locked() noexcept;
+
   /// Shadow coherence checking (EngineConfig::verify_shadow): `shadow_` is
   /// an independent state vector advanced through the pure transition rules
   /// of runtime/msi.hpp at every coherence event, then compared against the
@@ -207,14 +236,24 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
 
   mutable std::mutex mutex_;
   std::vector<Replica> replicas_;  ///< indexed by MemoryNodeId
+  /// Bit n set while the replica on memory node n is valid (nodes 0-63;
+  /// valid_on() locks for the others). Written under mutex_.
+  std::atomic<std::uint64_t> valid_mask_{0};
   std::vector<ReplicaState> shadow_;  ///< empty unless shadow checking
 
   std::uint64_t read_uses_ = 0;  ///< guarded by mutex_
+  /// Write-mode acquires not yet ended by mark_written. Guarded by mutex_.
+  int writes_outstanding_ = 0;
 
   DataHandle* parent_ = nullptr;
   std::size_t parent_offset_bytes_ = 0;
   std::vector<std::weak_ptr<DataHandle>> children_;
-  bool detached_ = false;  ///< set on children after unpartition()
+  /// Set (under mutex_) by partition(), cleared by unpartition(): while it
+  /// is false the handle has no children and is_partitioned() takes no
+  /// lock.
+  std::atomic<bool> partitioned_{false};
+  /// Set on children (under their mutex_) after unpartition().
+  std::atomic<bool> detached_{false};
 };
 
 using DataHandlePtr = std::shared_ptr<DataHandle>;

@@ -546,8 +546,11 @@ void PerfRegistry::record(const std::string& codelet, Arch arch,
                           std::uint64_t footprint, std::size_t total_bytes,
                           double seconds) {
   std::lock_guard<std::shared_mutex> lock(mutex_);
-  models_[{codelet, static_cast<int>(arch)}].record(footprint, total_bytes,
-                                                    seconds);
+  auto it = models_.find(KeyView{codelet, static_cast<int>(arch)});
+  if (it == models_.end()) {
+    it = models_.try_emplace(Key{codelet, static_cast<int>(arch)}).first;
+  }
+  it->second.record(footprint, total_bytes, seconds);
 }
 
 std::optional<double> PerfRegistry::expected(const std::string& codelet, Arch arch,
@@ -573,19 +576,22 @@ std::optional<double> PerfRegistry::regression_estimate(
   return it->second.regression_estimate(total_bytes);
 }
 
-std::optional<double> PerfRegistry::estimate_exec(
+PerfRegistry::HistoryQuery PerfRegistry::query(
     const std::string& codelet, Arch arch, std::uint64_t footprint,
     std::size_t total_bytes, std::uint64_t calibration_min) const {
+  HistoryQuery out;
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  auto it = models_.find({codelet, static_cast<int>(arch)});
-  if (it == models_.end()) return std::nullopt;
+  auto it = models_.find(KeyView{codelet, static_cast<int>(arch)});
+  if (it == models_.end()) return out;
   const HistoryModel& model = it->second;
-  if (model.sample_count(footprint) >= calibration_min) {
-    if (const std::optional<double> expected = model.expected(footprint)) {
-      return expected;
-    }
+  out.samples = model.sample_count(footprint);
+  if (out.samples >= calibration_min && out.samples > 0) {
+    out.exec = model.expected(footprint);
+    return out;
   }
-  return model.regression_estimate(total_bytes);
+  out.exec = model.regression_estimate(total_bytes);
+  out.regression = out.exec.has_value();
+  return out;
 }
 
 std::optional<MultiTermModel> PerfRegistry::multi_term_fit(

@@ -190,15 +190,36 @@ class PerfRegistry {
   std::optional<double> regression_estimate(const std::string& codelet, Arch arch,
                                             std::size_t total_bytes) const;
 
-  /// The dmda scheduler's history estimate, shared with peppher-predict so
-  /// static and online per-task estimates agree by construction: the
-  /// calibrated per-footprint mean when at least `calibration_min` samples
-  /// exist for the exact footprint, otherwise the power-law regression over
-  /// recorded sizes. nullopt when the model is missing or uncalibrated.
+  /// What the dmda scheduler needs from the history of one candidate
+  /// variant, answered by one lookup under one shared lock.
+  struct HistoryQuery {
+    std::uint64_t samples = 0;  ///< samples at the exact footprint
+    /// A power-law regression over recorded sizes exists. Only evaluated
+    /// (and only meaningful) when `samples` is below calibration_min or 0.
+    bool regression = false;
+    /// The history estimate: the calibrated per-footprint mean when at
+    /// least `calibration_min` samples exist for the exact footprint,
+    /// otherwise the regression. nullopt when the model is missing or
+    /// uncalibrated.
+    std::optional<double> exec;
+  };
+
+  /// The dmda scheduler's history query. The size regression (a fit over
+  /// every recorded footprint) runs only when the exact footprint is not
+  /// calibrated.
+  HistoryQuery query(const std::string& codelet, Arch arch,
+                     std::uint64_t footprint, std::size_t total_bytes,
+                     std::uint64_t calibration_min) const;
+
+  /// query(...).exec: the scheduler's history estimate, shared with
+  /// peppher-predict so static and online per-task estimates agree by
+  /// construction.
   std::optional<double> estimate_exec(const std::string& codelet, Arch arch,
                                       std::uint64_t footprint,
                                       std::size_t total_bytes,
-                                      std::uint64_t calibration_min) const;
+                                      std::uint64_t calibration_min) const {
+    return query(codelet, arch, footprint, total_bytes, calibration_min).exec;
+  }
 
   /// Cross-validated multi-term model of one history (design-time use).
   /// Takes the exclusive lock: the underlying fit is computed lazily.
@@ -234,8 +255,22 @@ class PerfRegistry {
 
  private:
   using Key = std::pair<std::string, int>;
+  /// Key probe that borrows the codelet name: the scheduler's query and
+  /// the per-task record look models up without copying the name.
+  using KeyView = std::pair<std::string_view, int>;
+  /// Orders Key and KeyView alike (name, then architecture), exactly as
+  /// std::less<Key> does, so file and listing order are unchanged.
+  struct KeyLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      const int order =
+          std::string_view(a.first).compare(std::string_view(b.first));
+      return order < 0 || (order == 0 && a.second < b.second);
+    }
+  };
   mutable std::shared_mutex mutex_;
-  std::map<Key, HistoryModel> models_;
+  std::map<Key, HistoryModel, KeyLess> models_;
 };
 
 /// Static-composition dispatch table: per-program-point winning placements

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <mutex>
@@ -57,6 +58,11 @@ class PerWorkerQueues {
       n += q.approx_size.load(std::memory_order_relaxed);
     }
     return n;
+  }
+
+  bool own_queued(WorkerId worker) const {
+    return queues_[static_cast<std::size_t>(worker)].approx_size.load(
+               std::memory_order_relaxed) != 0;
   }
 
   void enqueue_back(WorkerId worker, const TaskPtr& task) {
@@ -150,6 +156,8 @@ class EagerScheduler final : public Scheduler {
     return out;
   }
 
+  bool has_queued(WorkerId) const override { return queued() != 0; }
+
   std::size_t queued() const override {
     std::lock_guard<std::mutex> lock(mutex_);
     return queue_.size();
@@ -210,6 +218,7 @@ class RandomScheduler final : public Scheduler,
     return take_queue(dead_worker);
   }
 
+  bool has_queued(WorkerId worker) const override { return own_queued(worker); }
   std::size_t queued() const override { return total_queued(); }
   const std::string& name() const override { return name_; }
 
@@ -283,6 +292,8 @@ class WorkStealingScheduler final : public Scheduler,
     return take_queue(dead_worker);
   }
 
+  /// Any queue: pop() steals.
+  bool has_queued(WorkerId) const override { return total_queued() != 0; }
   std::size_t queued() const override { return total_queued(); }
   const std::string& name() const override { return name_; }
 
@@ -304,6 +315,11 @@ class ModelSchedulerBase : public Scheduler {
 
   std::vector<TaskPtr> drain(WorkerId dead_worker) override {
     return drain_queue(dead_worker);
+  }
+
+  bool has_queued(WorkerId worker) const override {
+    return queues_[static_cast<std::size_t>(worker)].approx_size.load(
+               std::memory_order_relaxed) != 0;
   }
 
   std::size_t queued() const override {
@@ -331,35 +347,73 @@ class ModelSchedulerBase : public Scheduler {
     std::atomic<std::size_t> approx_size{0};
   };
 
-  /// Calibration rule: the eligible variant with the fewest recorded
-  /// samples below calibration_min, or -1 when every variant is calibrated
-  /// (StarPU forces uncalibrated variants to run so the models learn).
-  WorkerId exploration_target(const Task& task) const {
-    WorkerId explore = -1;
-    std::uint64_t explore_count = std::numeric_limits<std::uint64_t>::max();
-    for (const auto& w : *env_.workers) {
-      const std::uint64_t count = env_.sample_count(task, w.id);
-      if (count < static_cast<std::uint64_t>(env_.calibration_min) &&
-          count < explore_count) {
-        explore = w.id;
-        explore_count = count;
+  /// Is `worker` allowed to run `task`? A bit-test against the engine's
+  /// pre-push eligibility snapshot when present; the SchedEnv callback
+  /// otherwise (direct unit-test pushes, workers beyond bit 63).
+  bool worker_allowed(const Task& task, WorkerId worker) const {
+    if (task.ready_eligible_mask != 0 && worker >= 0 && worker < 64) {
+      return (task.ready_eligible_mask >> static_cast<unsigned>(worker)) & 1;
+    }
+    return env_.eligible(task, worker);
+  }
+
+  /// Calls fn(id) for every worker allowed to run `task`, in id order: the
+  /// set bits of the engine's snapshot (a forced task visits one worker),
+  /// else every worker the eligibility callback accepts.
+  template <typename Fn>
+  void for_each_allowed(const Task& task, Fn&& fn) const {
+    const std::size_t count = env_.workers->size();
+    std::size_t first_unmasked = 0;
+    if (task.ready_eligible_mask != 0) {
+      for (std::uint64_t m = task.ready_eligible_mask; m != 0; m &= m - 1) {
+        fn(static_cast<WorkerId>(std::countr_zero(m)));
+      }
+      first_unmasked = 64;
+    }
+    for (std::size_t w = first_unmasked; w < count; ++w) {
+      if (env_.eligible(task, static_cast<WorkerId>(w))) {
+        fn(static_cast<WorkerId>(w));
       }
     }
+  }
+
+  /// Calibration rule: the eligible variant with the fewest recorded
+  /// samples below calibration_min wins exploration (StarPU forces
+  /// uncalibrated variants to run so the models learn); `worker` stays -1
+  /// when every variant is calibrated.
+  struct Exploration {
+    WorkerId worker = -1;
+    std::uint64_t samples = std::numeric_limits<std::uint64_t>::max();
+    double work = 0.0;  ///< the target's pending-work charge
+
+    void consider(WorkerId w, const WorkerEstimate& estimate,
+                  int calibration_min) {
+      if (estimate.samples < static_cast<std::uint64_t>(calibration_min) &&
+          estimate.samples < samples) {
+        worker = w;
+        samples = estimate.samples;
+        work = estimate.work;
+      }
+    }
+  };
+
+  Exploration exploration_target(const Task& task) const {
+    Exploration explore;
+    for_each_allowed(task, [&](WorkerId w) {
+      explore.consider(w, env_.estimate(task, w), env_.calibration_min);
+    });
     return explore;
   }
 
   /// The full dmda placement: calibration exploration first, then minimum
-  /// predicted completion time including per-worker pending work.
+  /// predicted completion time including per-worker pending work. One
+  /// estimate per allowed worker serves both rules and the pending-work
+  /// charge.
   WorkerId dmda_push(const TaskPtr& task, SchedDecision* decision) {
     // Calibration phase: while any eligible variant has fewer than
     // calibration_min recorded samples for this footprint, force it to run
     // so the history model learns about it (StarPU does the same).
-    const WorkerId explore = exploration_target(*task);
-    if (explore >= 0) {
-      if (decision != nullptr) decision->explored = true;
-      enqueue(explore, task);
-      return explore;
-    }
+    Exploration explore;
 
     // Steady state: minimise predicted completion time, counting both the
     // worker's virtual-clock readiness and the expected duration of tasks
@@ -372,31 +426,44 @@ class ModelSchedulerBase : public Scheduler {
     // the same operands, never to the task that pays for the transfer.
     WorkerId best = -1;
     double best_completion = kInf;
-    if (decision != nullptr) decision->arch_estimate.fill(kInf);
-    for (const auto& w : *env_.workers) {
+    double best_work = 0.0;
+    std::array<double, kArchCount> arch_estimate;
+    arch_estimate.fill(kInf);
+    for_each_allowed(*task, [&](WorkerId w) {
+      const WorkerEstimate estimate = env_.estimate(*task, w);
+      explore.consider(w, estimate, env_.calibration_min);
       const double completion =
-          env_.estimate_completion(*task, w.id) +
-          pending_work_[static_cast<std::size_t>(w.id)].load(
+          estimate.completion +
+          pending_work_[static_cast<std::size_t>(w)].load(
               std::memory_order_relaxed);
-      if (decision != nullptr && !w.archs.empty()) {
-        double& slot =
-            decision->arch_estimate[static_cast<std::size_t>(w.archs.front())];
+      const auto& archs = (*env_.workers)[static_cast<std::size_t>(w)].archs;
+      if (!archs.empty()) {
+        double& slot = arch_estimate[static_cast<std::size_t>(archs.front())];
         slot = std::min(slot, completion);
       }
       if (completion < best_completion) {
-        best = w.id;
+        best = w;
         best_completion = completion;
+        best_work = estimate.work;
       }
+    });
+    if (explore.worker >= 0) {
+      if (decision != nullptr) decision->explored = true;
+      enqueue_with_work(explore.worker, task, explore.work);
+      return explore.worker;
     }
     check(best >= 0, "task has no eligible worker");
-    if (decision != nullptr) decision->chosen_estimate = best_completion;
-    enqueue(best, task);
+    if (decision != nullptr) {
+      decision->arch_estimate = arch_estimate;
+      decision->chosen_estimate = best_completion;
+    }
+    enqueue_with_work(best, task, best_work);
     return best;
   }
 
-  /// Priority-ordered insert with an explicit pending-work charge (window
-  /// commits reuse their already-computed plan cost; replay charges zero —
-  /// no model evaluation on that path).
+  /// Priority-ordered insert with an explicit pending-work charge (dmda's
+  /// fetch + exec estimate; window commits reuse their already-computed
+  /// plan cost; replay charges zero — no model evaluation on that path).
   void enqueue_with_work(WorkerId worker, const TaskPtr& task, double work) {
     if (!std::isfinite(work)) work = 0.0;
     auto& q = queues_[static_cast<std::size_t>(worker)];
@@ -415,10 +482,6 @@ class ModelSchedulerBase : public Scheduler {
     if (work != 0.0) {
       atomic_add(pending_work_[static_cast<std::size_t>(worker)], work);
     }
-  }
-
-  void enqueue(WorkerId worker, const TaskPtr& task) {
-    enqueue_with_work(worker, task, env_.estimate_work(*task, worker));
   }
 
   TaskPtr pop_entry(WorkerId worker) {
@@ -517,10 +580,11 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     if (env_.window_size <= 1) return dmda_push(task, decision);
     // Calibration placements are per-variant by construction — batching
     // them would only delay model convergence, so they skip the window.
-    if (const WorkerId explore = exploration_target(*task); explore >= 0) {
+    if (const Exploration explore = exploration_target(*task);
+        explore.worker >= 0) {
       if (decision != nullptr) decision->explored = true;
-      enqueue(explore, task);
-      return explore;
+      enqueue_with_work(explore.worker, task, explore.work);
+      return explore.worker;
     }
     std::lock_guard<std::mutex> lock(stage_mutex_);
     staging_.push_back(task);
@@ -561,6 +625,11 @@ class LookaheadScheduler final : public ModelSchedulerBase {
     return out;
   }
 
+  bool has_queued(WorkerId worker) const override {
+    return ModelSchedulerBase::has_queued(worker) ||
+           stage_size_.load(std::memory_order_relaxed) != 0;
+  }
+
   std::size_t queued() const override {
     return ModelSchedulerBase::queued() +
            stage_size_.load(std::memory_order_relaxed);
@@ -578,16 +647,6 @@ class LookaheadScheduler final : public ModelSchedulerBase {
   /// once (eligibility checks are the expensive part of this scan); only
   /// when that worker is out (blacklist, excluded arch) is the eligible
   /// rest scanned. Returns -1 when the architecture has no eligible worker.
-  /// Is `worker` allowed to run `task`? A bit-test against the engine's
-  /// pre-push eligibility snapshot when present; the SchedEnv callback
-  /// otherwise (direct unit-test pushes, workers beyond bit 63).
-  bool worker_allowed(const Task& task, WorkerId worker) const {
-    if (task.ready_eligible_mask != 0 && worker >= 0 && worker < 64) {
-      return (task.ready_eligible_mask >> static_cast<unsigned>(worker)) & 1;
-    }
-    return env_.eligible(task, worker);
-  }
-
   WorkerId least_loaded(const Task& task, Arch arch) const {
     const auto& candidates = arch_workers_[static_cast<std::size_t>(arch)];
     WorkerId best = -1;
@@ -739,7 +798,7 @@ class LookaheadScheduler final : public ModelSchedulerBase {
         if (!env_.eligible(*task, w.id)) continue;
         double exec = env_.estimate_exec
                           ? env_.estimate_exec(*task, w.id)
-                          : env_.estimate_work(*task, w.id);
+                          : env_.estimate(*task, w.id).work;
         if (!std::isfinite(exec) || exec < 0.0) exec = 0.0;
         pt.exec[static_cast<std::size_t>(w.id)] = exec;
         any = true;

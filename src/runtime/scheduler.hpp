@@ -12,7 +12,7 @@
 // engine's dependency-graph lock: workers pop from their own queue under
 // that queue's lock only, and submitters race nothing but the one target
 // queue. The SchedEnv callbacks the policies consult (eligibility, ready
-// times, completion estimates, sample counts) are therefore required to be
+// times, per-worker estimates) are therefore required to be
 // thread-safe as well; the Engine implements them over atomics, memoized
 // per-task caches and the reader-writer performance registry.
 #pragma once
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,6 +47,23 @@ struct WorkerDesc {
   bool is_combined_cpu = false;  ///< the all-CPU-cores parallel worker
 };
 
+/// One candidate worker's figures for a ready task, computed in one pass
+/// (one history query, one walk over the operands' replicas). dmda reads
+/// all three to decide exploration, placement and the pending-work charge.
+struct WorkerEstimate {
+  /// History samples of the worker's variant at the task's footprint, for
+  /// the calibration/exploration rule. UINT64_MAX when exploration is
+  /// unnecessary (history models disabled, or an unseen footprint that the
+  /// size regression already covers).
+  std::uint64_t samples = std::numeric_limits<std::uint64_t>::max();
+  /// Predicted completion vtime: ready + transfer + expected execution.
+  double completion = std::numeric_limits<double>::infinity();
+  /// Just the work part (transfer + expected execution) without the
+  /// worker-ready time. dmda accumulates this per worker to account for
+  /// tasks that are queued but not yet started.
+  double work = std::numeric_limits<double>::infinity();
+};
+
 /// Services the Engine provides to scheduler policies.
 struct SchedEnv {
   const std::vector<WorkerDesc>* workers = nullptr;
@@ -57,19 +75,9 @@ struct SchedEnv {
   /// (respecting forced_arch / forced_worker).
   std::function<bool(const Task&, WorkerId)> eligible;
 
-  /// Predicted completion vtime of the task on the worker (ready + transfer
-  /// + expected execution); +infinity if ineligible.
-  std::function<double(const Task&, WorkerId)> estimate_completion;
-
-  /// Just the work part (transfer + expected execution) without the
-  /// worker-ready time; +infinity if ineligible. dmda accumulates this per
-  /// worker to account for tasks that are queued but not yet started.
-  std::function<double(const Task&, WorkerId)> estimate_work;
-
-  /// History sample count for (task footprint, worker's variant); used for
-  /// the calibration/exploration phase. Returns UINT64_MAX if ineligible or
-  /// if exploration is unnecessary (history models disabled).
-  std::function<std::uint64_t(const Task&, WorkerId)> sample_count;
+  /// Evaluates the task on one worker the task is eligible for (see
+  /// WorkerEstimate). Never called for ineligible workers.
+  std::function<WorkerEstimate(const Task&, WorkerId)> estimate;
 
   int calibration_min = 2;  ///< samples needed before a variant is trusted
   Rng* rng = nullptr;
@@ -79,8 +87,8 @@ struct SchedEnv {
   /// Expected execution time alone (no transfer, no readiness); +infinity
   /// if ineligible. The lookahead window planner prices transfers itself
   /// from the replica states it tracks across the window, so it must not
-  /// use estimate_work (which double-charges fetches the window already
-  /// planned). Unset = planner falls back to estimate_work.
+  /// use WorkerEstimate::work (which double-charges fetches the window
+  /// already planned). Unset = planner falls back to that work.
   std::function<double(const Task&, WorkerId)> estimate_exec;
 
   /// Seconds to move `bytes` across one interconnect hop (the machine's
@@ -148,6 +156,12 @@ class Scheduler {
   /// tasks with no eligible worker left. The engine re-pushes the ones that
   /// are still runnable elsewhere and terminally fails the rest.
   virtual std::vector<TaskPtr> drain(WorkerId dead_worker) = 0;
+
+  /// False only if pop(worker) would find nothing (a true answer may be
+  /// stale). A thread that ran tasks in the worker's name asks this before
+  /// it lets go of the worker, to decide whether the worker's own thread
+  /// must be woken for what it left behind.
+  virtual bool has_queued(WorkerId worker) const = 0;
 
   /// Total tasks currently queued (diagnostics).
   virtual std::size_t queued() const = 0;

@@ -154,6 +154,10 @@ class Task {
   /// is what publishes the results below to waiters.
   std::atomic<TaskState> state{TaskState::kBlocked};
 
+  /// Threads blocked in Engine::wait() on this task. Completion takes the
+  /// engine's done mutex to wake them only when this is non-zero.
+  std::atomic<int> waiters{0};
+
   /// Set if the implementation threw or a predecessor failed; rethrown by
   /// Engine::wait(). Failed tasks complete (waiters wake) but their
   /// successors are failed transitively without running.

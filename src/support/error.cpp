@@ -15,10 +15,8 @@ std::string_view to_string(ErrorCode code) noexcept {
   return "unknown";
 }
 
-void check(bool condition, std::string_view what) {
-  if (!condition) {
-    throw Error(ErrorCode::kInternal, std::string(what));
-  }
+void check_failed(std::string_view what) {
+  throw Error(ErrorCode::kInternal, std::string(what));
 }
 
 }  // namespace peppher

@@ -75,9 +75,15 @@ class ParseError : public Error {
   int column_ = 0;
 };
 
+/// Throws Error(kInternal) carrying `what`; the cold half of check().
+[[noreturn]] void check_failed(std::string_view what);
+
 /// Throws Error(kInternal) when `condition` is false. Used for internal
-/// invariants that should hold regardless of user input; cheap enough to
-/// keep enabled in release builds.
-void check(bool condition, std::string_view what);
+/// invariants that should hold regardless of user input; inline so that
+/// the runtime's hot paths pay one predictable branch per check, cheap
+/// enough to keep enabled in release builds.
+inline void check(bool condition, std::string_view what) {
+  if (!condition) [[unlikely]] check_failed(what);
+}
 
 }  // namespace peppher

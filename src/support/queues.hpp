@@ -66,11 +66,14 @@ class ParkSlot {
   /// source before parking, so no wake is needed.
   bool unpark() {
     if (!parked_.load(std::memory_order_seq_cst)) return false;
+    bool first;
     {
       std::lock_guard<std::mutex> lock(mutex_);
+      first = !token_;
       token_ = true;
     }
-    cv_.notify_one();
+    // A pending token already had its notify: the owner is on its way.
+    if (first) cv_.notify_one();
     return true;
   }
 

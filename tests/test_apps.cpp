@@ -184,6 +184,23 @@ TEST(OdeDirect, MatchesToolNumerics) {
   EXPECT_GT(direct.virtual_seconds, 0.0);
 }
 
+TEST(OdeDirect, MatchesReferenceOverThePaperRun) {
+  // Every stage weight matters here: a stale k2 weight in stage 4 drifts
+  // about 3e-5 away from the reference over the paper's 1179 steps.
+  const auto problem = ode::make_problem(24, ode::kPaperSteps);
+  const auto expected = ode::reference(problem);
+  const auto direct =
+      ode::run_direct(problem, rt::Arch::kCpu, sim::MachineConfig::platform_c2050());
+  ASSERT_EQ(direct.y.size(), expected.size());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    worst = std::max(worst, std::abs(static_cast<double>(direct.y[i]) -
+                                     expected[i]) /
+                                std::abs(static_cast<double>(expected[i])));
+  }
+  EXPECT_LT(worst, 1e-5);
+}
+
 TEST(Checksum, CloseToToleratesReassociation) {
   Checksum a, b;
   for (int i = 0; i < 100; ++i) {

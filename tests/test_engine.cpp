@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 
 #include "runtime/engine.hpp"
 #include "sim/device.hpp"
@@ -343,6 +344,167 @@ TEST(Engine, IndependentReadTasksMayRunOnDifferentWorkers) {
   }
   engine.wait_for_all();
   EXPECT_EQ(executed.load(), 4);
+}
+
+// -- caller-runs waits ---------------------------------------------------
+
+/// Worker id of the first worker that runs `arch`.
+WorkerId first_worker(const Engine& engine, Arch arch) {
+  for (const WorkerDesc& desc : engine.workers()) {
+    if (desc.archs.front() == arch) return desc.id;
+  }
+  return -1;
+}
+
+/// Result of one forced_chain() run.
+struct ChainRun {
+  std::vector<WorkerId> executed_on;
+  std::vector<VirtualTime> vstart, vend;
+  int ran_on_caller = 0;  ///< chain kernels run by the submitting thread
+  float value = 0.0f;     ///< the operand afterwards
+};
+
+/// Submits a 9-task chain on one handle, every task forced to the GPU
+/// worker. With `wait_on_tail` the submitting thread then waits for the last
+/// task, which lets it run the parked worker's queue itself; without, it
+/// goes straight to wait_for_all().
+ChainRun forced_chain(bool wait_on_tail) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> ran_on_caller{0};
+  Codelet codelet("chain_step");
+  for (Arch arch : {Arch::kCpu, Arch::kCuda}) {
+    Implementation impl;
+    impl.arch = arch;
+    impl.name = "chain_step_" + to_string(arch);
+    impl.fn = [&](ExecContext& ctx) {
+      if (std::this_thread::get_id() == caller) ++ran_on_caller;
+      auto* data = ctx.buffer_as<float>(0);
+      for (std::size_t i = 0; i < ctx.elements(0); ++i) data[i] += 1.0f;
+    };
+    impl.cost = [](const std::vector<std::size_t>& bytes, const void*) {
+      return sim::KernelCost{1e5, static_cast<double>(bytes[0]), 1.0};
+    };
+    codelet.add_impl(std::move(impl));
+  }
+  std::vector<float> data(64, 0.0f);
+  ChainRun run;
+  {
+    Engine engine(small_config());
+    const WorkerId gpu = first_worker(engine, Arch::kCuda);
+    auto handle = engine.register_buffer(
+        data.data(), data.size() * sizeof(float), sizeof(float));
+    std::vector<TaskPtr> chain;
+    for (int i = 0; i < 9; ++i) {
+      TaskSpec spec;
+      spec.codelet = &codelet;
+      spec.operands = {{handle, AccessMode::kReadWrite}};
+      spec.forced_worker = gpu;
+      chain.push_back(engine.submit(std::move(spec)));
+    }
+    if (wait_on_tail) engine.wait(chain.back());
+    engine.wait_for_all();
+    engine.acquire_host(handle, AccessMode::kRead);
+    for (const TaskPtr& task : chain) {
+      run.executed_on.push_back(task->executed_on);
+      run.vstart.push_back(task->vstart);
+      run.vend.push_back(task->vend);
+    }
+  }
+  run.ran_on_caller = ran_on_caller.load();
+  run.value = data.front();
+  return run;
+}
+
+TEST(CallerRuns, WaitingThreadRunsAForcedChainAsTheWorker) {
+  const ChainRun reference = forced_chain(/*wait_on_tail=*/false);
+  EXPECT_FLOAT_EQ(reference.value, 9.0f);
+  // Who wins the parked GPU worker (its own woken thread or the waiting
+  // caller) depends on host timing, so several rounds run; the schedule
+  // must not depend on it.
+  int rounds_helped = 0;
+  for (int round = 0; round < 20; ++round) {
+    const ChainRun run = forced_chain(/*wait_on_tail=*/true);
+    EXPECT_FLOAT_EQ(run.value, 9.0f);
+    ASSERT_EQ(run.executed_on.size(), 9u);
+    for (std::size_t i = 0; i < 9; ++i) {
+      EXPECT_EQ(run.executed_on[i], reference.executed_on[i]) << "task " << i;
+      EXPECT_EQ(run.vstart[i], reference.vstart[i]) << "task " << i;
+      EXPECT_EQ(run.vend[i], reference.vend[i]) << "task " << i;
+    }
+    if (run.ran_on_caller > 0) ++rounds_helped;
+  }
+  // The caller claims the worker whenever it gets there before the woken
+  // thread does, which on an unloaded host is almost every round.
+  EXPECT_GT(rounds_helped, 0);
+}
+
+TEST(CallerRuns, WaitRethrowsTheCancellationOfAHelpedChain) {
+  Codelet failing("fails");
+  Codelet follower("follows");
+  for (Arch arch : {Arch::kCpu, Arch::kCuda}) {
+    failing.add_impl({arch, "fails_" + to_string(arch), [](ExecContext&) {
+                        throw Error(ErrorCode::kIoError, "kernel failed");
+                      },
+                      nullptr});
+    follower.add_impl({arch, "follows_" + to_string(arch),
+                       [](ExecContext&) {}, nullptr});
+  }
+  for (int round = 0; round < 5; ++round) {
+    Engine engine(small_config());
+    const WorkerId gpu = first_worker(engine, Arch::kCuda);
+    std::vector<float> data(16, 0.0f);
+    auto handle = engine.register_buffer(
+        data.data(), data.size() * sizeof(float), sizeof(float));
+    TaskSpec first;
+    first.codelet = &failing;
+    first.operands = {{handle, AccessMode::kReadWrite}};
+    first.forced_worker = gpu;
+    first.max_retries = 0;
+    TaskPtr producer = engine.submit(std::move(first));
+    TaskSpec second;
+    second.codelet = &follower;
+    second.operands = {{handle, AccessMode::kRead}};
+    second.forced_worker = gpu;
+    TaskPtr consumer = engine.submit(std::move(second));
+    try {
+      engine.wait(consumer);
+      ADD_FAILURE() << "wait() returned for a cancelled task";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("predecessor task 'fails' failed"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(producer->failed());
+    EXPECT_THROW(engine.wait(producer), Error);
+  }
+}
+
+// -- prefetch against an outstanding write ----------------------------------
+
+TEST(Engine, PrefetchRefusesAHandleWithAnOutstandingWrite) {
+  Engine engine(small_config());
+  const MemoryNodeId device =
+      engine.workers()[static_cast<std::size_t>(
+                           first_worker(engine, Arch::kCuda))]
+          .node;
+  std::vector<float> data(64, 1.0f);
+  auto handle = engine.register_buffer(data.data(), data.size() * sizeof(float),
+                                       sizeof(float));
+  // A write between its acquire and its mark_written, as a running task's
+  // is. A copy now would downgrade the writer's owned replica to shared and
+  // its mark_written would throw.
+  handle->acquire(kHostNode, AccessMode::kWrite, nullptr);
+  EXPECT_FALSE(engine.prefetch(handle, device));
+  EXPECT_NO_THROW(handle->mark_written(kHostNode, 1.0));
+
+  handle->acquire(device, AccessMode::kReadWrite, nullptr);
+  EXPECT_FALSE(engine.prefetch(handle, kHostNode));
+  EXPECT_NO_THROW(handle->mark_written(device, 2.0));
+  handle->release(device);
+
+  // The write is over: the same prefetch now warms the host replica.
+  EXPECT_TRUE(engine.prefetch(handle, kHostNode));
+  EXPECT_EQ(handle->replica_state(kHostNode), ReplicaState::kShared);
 }
 
 }  // namespace

@@ -205,15 +205,13 @@ class LookaheadDifferential : public ::testing::Test {
       return ready_[static_cast<std::size_t>(id)];
     };
     env_.eligible = [](const Task&, WorkerId) { return true; };
-    env_.estimate_completion = [this](const Task&, WorkerId id) {
-      return ready_[static_cast<std::size_t>(id)] +
-             work_[static_cast<std::size_t>(id)];
-    };
-    env_.estimate_work = [this](const Task&, WorkerId id) {
-      return work_[static_cast<std::size_t>(id)];
-    };
-    env_.sample_count = [this](const Task&, WorkerId id) {
-      return samples_[static_cast<std::size_t>(id)];
+    env_.estimate = [this](const Task&, WorkerId id) {
+      const auto w = static_cast<std::size_t>(id);
+      WorkerEstimate estimate;
+      estimate.samples = samples_[w];
+      estimate.completion = ready_[w] + work_[w];
+      estimate.work = work_[w];
+      return estimate;
     };
   }
 

@@ -39,21 +39,13 @@ class SchedulerUnit : public ::testing::Test {
       (void)task;
       return true;
     };
-    env_.estimate_completion = [this](const Task& task, WorkerId id) {
-      if (!env_.eligible(task, id)) {
-        return std::numeric_limits<double>::infinity();
-      }
-      return ready_[static_cast<std::size_t>(id)] +
-             work_[static_cast<std::size_t>(id)];
-    };
-    env_.estimate_work = [this](const Task& task, WorkerId id) {
-      if (!env_.eligible(task, id)) {
-        return std::numeric_limits<double>::infinity();
-      }
-      return work_[static_cast<std::size_t>(id)];
-    };
-    env_.sample_count = [this](const Task&, WorkerId id) {
-      return samples_[static_cast<std::size_t>(id)];
+    env_.estimate = [this](const Task&, WorkerId id) {
+      const auto w = static_cast<std::size_t>(id);
+      WorkerEstimate estimate;
+      estimate.samples = samples_[w];
+      estimate.completion = ready_[w] + work_[w];
+      estimate.work = work_[w];
+      return estimate;
     };
   }
 
