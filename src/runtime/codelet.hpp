@@ -4,10 +4,12 @@
 // codelets bundle per-architecture task functions.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "runtime/perfmodel.hpp"
 #include "runtime/types.hpp"
 #include "sim/device.hpp"
 #include "support/parallel.hpp"
@@ -128,9 +130,21 @@ struct Implementation {
 /// under which its performance history is recorded.
 class Codelet {
  public:
-  explicit Codelet(std::string name) : name_(std::move(name)) {}
+  explicit Codelet(std::string name);
 
   const std::string& name() const noexcept { return name_; }
+
+  /// Unique per constructed codelet, never reused; a copy shares it along
+  /// with the name. Performance registries key their resolved model slots
+  /// by it.
+  std::uint64_t id() const noexcept { return id_; }
+
+  /// footprint_of(operand_bytes), memoised for the sizes this codelet was
+  /// last submitted with.
+  std::uint64_t footprint(
+      const std::vector<std::size_t>& operand_bytes) const noexcept {
+    return footprints_.get(operand_bytes);
+  }
 
   Codelet& add_impl(Implementation impl) {
     impls_.push_back(std::move(impl));
@@ -166,7 +180,9 @@ class Codelet {
 
  private:
   std::string name_;
+  std::uint64_t id_ = 0;
   std::vector<Implementation> impls_;
+  FootprintCache footprints_;
 };
 
 }  // namespace peppher::rt

@@ -43,12 +43,13 @@ void atomic_max(std::atomic<double>& target, double value) {
   }
 }
 
-/// CAS add for the atomic double accumulators (busy time, energy).
-void atomic_add(std::atomic<double>& target, double delta) {
-  double cur = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-  }
+/// Adds to a counter that has one writer at a time — a worker's, updated
+/// by the thread holding its run mutex — with a plain load and store: no
+/// locked instruction, and readers still see whole values.
+template <typename T>
+void single_writer_add(std::atomic<T>& target, T delta) {
+  target.store(target.load(std::memory_order_relaxed) + delta,
+               std::memory_order_relaxed);
 }
 
 /// Id of the worker this thread runs, -1 on application threads — lets the
@@ -159,7 +160,8 @@ Engine::Engine(EngineConfig config)
     node_rt_.push_back(std::move(node_rt));
   }
 
-  blacklisted_ = std::make_unique<std::atomic<bool>[]>(descs_.size());
+  blacklisted_ =
+      std::make_unique<std::atomic<std::uint64_t>[]>(descs_.size() / 64 + 1);
 
   // Whole-node death plans and the inter-node link plan. The transfer hook
   // must be in place before worker threads exist.
@@ -530,62 +532,46 @@ TaskPtr Engine::submit(TaskSpec spec) {
   if (spec.name.empty()) spec.name = spec.codelet->name();
   const bool synchronous = spec.synchronous;
 
+  // The sequence number is allocated below, under the graph lock, so a
+  // rejected submission does not consume one.
+  TaskPtr task = Task::create(std::move(spec), 0);
+
   // Hot-path caches: operand sizes, footprint, and the per-architecture
   // variant resolution (first enabled + selectable implementation per
   // arch). Computed once here so every scheduling estimate afterwards is
-  // allocation-free and never re-evaluates selectability predicates.
-  std::vector<std::size_t> operand_bytes;
-  operand_bytes.reserve(spec.operands.size());
+  // allocation-free and never re-evaluates selectability predicates. The
+  // size vector is the recycled task's own, capacity included.
+  std::vector<std::size_t>& operand_bytes = task->operand_bytes;
   std::size_t total_bytes = 0;
-  for (const auto& op : spec.operands) {
+  for (const auto& op : task->spec.operands) {
     operand_bytes.push_back(op.handle->bytes());
     total_bytes += op.handle->bytes();
   }
-  std::array<const Implementation*, kArchCount> impls{};
-  for (const Implementation& impl : spec.codelet->impls()) {
+  std::array<const Implementation*, kArchCount>& impls = task->impl_for_arch;
+  for (const Implementation& impl : task->spec.codelet->impls()) {
     if (!impl.enabled) continue;
     const Implementation*& slot = impls[static_cast<std::size_t>(impl.arch)];
     if (slot != nullptr) continue;
-    if (impl.selectable && !impl.selectable(operand_bytes, spec.arg.get())) {
+    if (impl.selectable &&
+        !impl.selectable(operand_bytes, task->spec.arg.get())) {
       continue;  // call-context selectability (§II): parameter ranges
     }
     slot = &impl;
   }
 
-  // Someone must be able to run it — checked before the sequence number is
-  // allocated so a rejected submission does not consume one.
-  bool runnable = false;
-  for (const auto& desc : descs_) {
-    if (blacklisted_[static_cast<std::size_t>(desc.id)].load(
-            std::memory_order_acquire)) {
-      continue;
-    }
-    if (spec.forced_worker.has_value() && *spec.forced_worker != desc.id) {
-      continue;
-    }
-    for (Arch arch : desc.archs) {
-      if (spec.forced_arch.has_value() && *spec.forced_arch != arch) continue;
-      if (impls[static_cast<std::size_t>(arch)] != nullptr) {
-        runnable = true;
-        break;
-      }
-    }
-    if (runnable) break;
-  }
-  if (!runnable) {
+  // Someone must be able to run it.
+  task->eligible_workers = eligible_workers_of(*task);
+  if (!has_eligible_worker(*task)) {
     throw Error(ErrorCode::kUnsupported,
                 "no worker on machine '" + machine_name_ +
-                    "' can execute codelet '" + spec.codelet->name() + "'");
+                    "' can execute codelet '" + task->spec.codelet->name() +
+                    "'");
   }
 
-  TaskPtr task = std::make_shared<Task>(
-      std::move(spec), next_sequence_.fetch_add(1, std::memory_order_relaxed));
   task->retries_left = task->spec.max_retries >= 0 ? task->spec.max_retries
                                                    : config_.max_retries;
-  task->operand_bytes = std::move(operand_bytes);
-  task->footprint = footprint_of(task->operand_bytes);
+  task->footprint = task->spec.codelet->footprint(task->operand_bytes);
   task->total_bytes = total_bytes;
-  task->impl_for_arch = impls;
   if (dispatch_replay_active_) {
     // Precompute the replay probe keys (most to least specific) here, off
     // the scheduler's hot path; the lookup itself then does no hashing.
@@ -614,6 +600,10 @@ TaskPtr Engine::submit(TaskSpec spec) {
   inflight_.fetch_add(1, std::memory_order_seq_cst);
   {
     std::lock_guard<std::mutex> lock(graph_mutex_);
+    // Sequence numbers are handed out under the graph lock, in the order
+    // the dependency edges are drawn.
+    task->sequence = next_sequence_.load(std::memory_order_relaxed);
+    next_sequence_.store(task->sequence + 1, std::memory_order_relaxed);
 
     // Implicit dependencies: sequential consistency per handle. Duplicate
     // edges (the same predecessor through several operands) are detected
@@ -835,13 +825,7 @@ void Engine::dispatch_ready(const TaskPtr& task, bool* self_claim) {
   // Snapshot the eligible-worker set BEFORE pushing: once queued, the task
   // may be popped, executed and mutated (excluded_archs) by another worker,
   // so the wake scan must not touch it.
-  std::uint64_t eligible_mask = 0;
-  const std::size_t n = std::min<std::size_t>(workers_.size(), 64);
-  for (std::size_t w = 0; w < n; ++w) {
-    if (worker_eligible(*task, static_cast<WorkerId>(w))) {
-      eligible_mask |= std::uint64_t{1} << w;
-    }
-  }
+  const std::uint64_t eligible_mask = task->eligible_workers & live_workers();
   task->state.store(TaskState::kReady, std::memory_order_relaxed);
   task->ready_eligible_mask = eligible_mask;
   SchedDecision decision;
@@ -905,6 +889,20 @@ void Engine::wake_workers(std::uint64_t eligible_mask, WorkerId hint,
 }
 
 void Engine::execute(const TaskPtr& task, Worker& worker) {
+  std::vector<TaskPtr>& completed_now = worker.completed_scratch;
+  std::vector<TaskPtr>& ready_now = worker.ready_scratch;
+  if (is_blacklisted(worker.desc.id)) {
+    // Pushed on an eligibility snapshot taken before this worker's device
+    // died, after its queue was drained: route it as the drain does.
+    {
+      std::lock_guard<std::mutex> lock(graph_mutex_);
+      reroute_orphan_locked(task, worker, completed_now, ready_now);
+    }
+    bool self_claim = false;
+    finish_execution(completed_now, ready_now, &self_claim);
+    return;
+  }
+
   const Implementation* impl = select_impl(*task, worker.desc);
   check(impl != nullptr, "scheduler routed a task to an incapable worker");
   sim::FaultInjector* injector = injector_for_node(worker.desc.node);
@@ -1067,7 +1065,7 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   task->exec_seconds = exec_seconds;
   task->executed_on = worker.desc.id;
   task->executed_arch = impl->arch;
-  task->executed_impl = impl->name;
+  task->executed_variant = impl;
 
   worker.vtime.store(task->vend, std::memory_order_relaxed);
   if (data_.topo().is_host(worker.desc.node)) {
@@ -1077,19 +1075,14 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     worker.failed_attempts.fetch_add(1, std::memory_order_relaxed);
     fault_counters_.failed_attempts.fetch_add(1, std::memory_order_relaxed);
   } else {
-    worker.tasks_executed.fetch_add(1, std::memory_order_relaxed);
-    arch_counts_[static_cast<std::size_t>(impl->arch)].fetch_add(
-        1, std::memory_order_relaxed);
+    single_writer_add(worker.tasks_executed, std::uint64_t{1});
+    single_writer_add(worker.arch_tasks[static_cast<std::size_t>(impl->arch)],
+                      std::uint64_t{1});
   }
-  atomic_add(worker.busy_vtime, exec_seconds);
-  atomic_add(worker.energy_joules,
-             exec_seconds * worker.desc.profile.busy_watts);
+  single_writer_add(worker.busy_vtime, exec_seconds);
+  single_writer_add(worker.energy_joules,
+                    exec_seconds * worker.desc.profile.busy_watts);
   atomic_max(makespan_, task->vend);
-
-  std::vector<TaskPtr>& completed_now = worker.completed_scratch;
-  std::vector<TaskPtr>& ready_now = worker.ready_scratch;
-  completed_now.clear();
-  ready_now.clear();
 
   // Device life cycle: successful kernels feed die_after_tasks; a dead
   // device is blacklisted once (under the graph lock — it re-routes queued
@@ -1097,12 +1090,10 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   // own injector's death, so the double check is belt and braces.
   if (injector != nullptr) {
     if (!task->failed()) injector->record_kernel_success();
-    if (!blacklisted_[static_cast<std::size_t>(worker.desc.id)].load(
-            std::memory_order_acquire) &&
+    if (!is_blacklisted(worker.desc.id) &&
         injector->death_due(worker.vtime.load(std::memory_order_relaxed))) {
       std::lock_guard<std::mutex> lock(graph_mutex_);
-      if (!blacklisted_[static_cast<std::size_t>(worker.desc.id)].load(
-              std::memory_order_relaxed)) {
+      if (!is_blacklisted(worker.desc.id)) {
         blacklist_worker_locked(worker, completed_now, ready_now);
       }
     }
@@ -1132,10 +1123,7 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
                                 }));
         for (auto& w : workers_) {
           if (w->desc.sim_node != worker.desc.sim_node) continue;
-          if (blacklisted_[static_cast<std::size_t>(w->desc.id)].load(
-                  std::memory_order_relaxed)) {
-            continue;
-          }
+          if (is_blacklisted(w->desc.id)) continue;
           blacklist_worker_locked(*w, completed_now, ready_now);
         }
       }
@@ -1149,6 +1137,7 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
   if (task->failed()) {
     if (!task->first_failed_arch) task->first_failed_arch = impl->arch;
     task->excluded_archs |= arch_bit(impl->arch);
+    task->eligible_workers = eligible_workers_of(*task);
     ++task->attempts;
     if (task->retries_left > 0 && has_eligible_worker(*task)) {
       --task->retries_left;
@@ -1166,22 +1155,24 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     }
   }
 
+  // Unpin: the replica stays resident (§IV-H) but becomes evictable. A
+  // written operand also ends its write here, under the same lock (for
+  // terminally failed tasks the written data is undefined, but the replica
+  // bookkeeping must stay consistent).
   for (std::size_t i = 0; i < acquired; ++i) {
     const TaskOperand& op = task->spec.operands[i];
     if (op.mode != AccessMode::kRead) {
-      // For terminally failed tasks the written data is undefined, but
-      // the replica bookkeeping must stay consistent.
-      op.handle->mark_written(worker.desc.node, task->vend);
+      op.handle->release_written(worker.desc.node, task->vend);
+    } else {
+      op.handle->release(worker.desc.node);
     }
-    // Unpin: the replica stays resident (§IV-H) but becomes evictable.
-    op.handle->release(worker.desc.node);
   }
 
   if (!task->failed() &&
       (config_.use_history_models || !config_.sampling_dir.empty())) {
     // Nothing reads the history when neither history scheduling nor sample
     // persistence is on — skip the registry write on the hot path.
-    perf_.record(task->spec.codelet->name(), impl->arch, task->footprint,
+    perf_.record(*task->spec.codelet, impl->arch, task->footprint,
                  task->total_bytes, exec_seconds);
   }
 
@@ -1207,22 +1198,27 @@ void Engine::execute(const TaskPtr& task, Worker& worker) {
     std::lock_guard<std::mutex> lock(graph_mutex_);
     complete_locked(task, completed_now, ready_now);
   }
-  for (const TaskPtr& ready : ready_now) dispatch_ready(ready, &self_claim);
+  finish_execution(completed_now, ready_now, &self_claim);
+}
+
+void Engine::finish_execution(std::vector<TaskPtr>& completed,
+                              std::vector<TaskPtr>& ready, bool* self_claim) {
+  for (const TaskPtr& task : ready) dispatch_ready(task, self_claim);
   // Wake wait(task) callers promptly, before callbacks.
-  notify_task_done(completed_now);
-  for (const TaskPtr& done : completed_now) {
+  notify_task_done(completed);
+  for (const TaskPtr& done : completed) {
     if (done->spec.on_complete) {
       done->spec.on_complete(*done);
     }
   }
-  if (!completed_now.empty()) {
+  if (!completed.empty()) {
     // inflight_ is decremented only after the completion callbacks ran, so
     // wait_for_all() implies all callbacks finished.
-    inflight_.fetch_sub(completed_now.size(), std::memory_order_seq_cst);
+    inflight_.fetch_sub(completed.size(), std::memory_order_seq_cst);
     notify_idle();
   }
-  completed_now.clear();
-  ready_now.clear();
+  completed.clear();
+  ready.clear();
 }
 
 void Engine::complete_locked(const TaskPtr& task,
@@ -1311,10 +1307,10 @@ const Implementation* Engine::select_impl(const Task& task,
 }
 
 bool Engine::worker_eligible(const Task& task, WorkerId id) const {
-  if (blacklisted_[static_cast<std::size_t>(id)].load(
-          std::memory_order_acquire)) {
-    return false;
+  if (id < 64) {
+    return ((task.eligible_workers & live_workers()) >> id) & 1;
   }
+  if (is_blacklisted(id)) return false;
   if (task.spec.forced_worker.has_value() && *task.spec.forced_worker != id) {
     return false;
   }
@@ -1322,10 +1318,25 @@ bool Engine::worker_eligible(const Task& task, WorkerId id) const {
 }
 
 bool Engine::has_eligible_worker(const Task& task) const {
-  for (const auto& desc : descs_) {
-    if (worker_eligible(task, desc.id)) return true;
+  if ((task.eligible_workers & live_workers()) != 0) return true;
+  for (std::size_t w = 64; w < descs_.size(); ++w) {
+    if (worker_eligible(task, static_cast<WorkerId>(w))) return true;
   }
   return false;
+}
+
+std::uint64_t Engine::eligible_workers_of(const Task& task) const {
+  std::uint64_t mask = 0;
+  const std::size_t n = std::min<std::size_t>(descs_.size(), 64);
+  for (std::size_t w = 0; w < n; ++w) {
+    const WorkerDesc& desc = descs_[w];
+    if (task.spec.forced_worker.has_value() &&
+        *task.spec.forced_worker != desc.id) {
+      continue;
+    }
+    if (select_impl(task, desc) != nullptr) mask |= std::uint64_t{1} << w;
+  }
+  return mask;
 }
 
 sim::FaultInjector* Engine::injector_for_node(MemoryNodeId node) const {
@@ -1363,26 +1374,33 @@ void Engine::on_transfer_attempt(MemoryNodeId from, MemoryNodeId to,
 void Engine::blacklist_worker_locked(Worker& worker,
                                      std::vector<TaskPtr>& completed,
                                      std::vector<TaskPtr>& ready) {
-  blacklisted_[static_cast<std::size_t>(worker.desc.id)].store(
-      true, std::memory_order_seq_cst);
+  const auto id = static_cast<std::size_t>(worker.desc.id);
+  blacklisted_[id / 64].fetch_or(std::uint64_t{1} << (id % 64),
+                                 std::memory_order_seq_cst);
   fault_counters_.workers_blacklisted.fetch_add(1, std::memory_order_relaxed);
   log::warn("runtime", "worker {} ('{}') died; blacklisting and draining",
             worker.desc.id, worker.desc.profile.name);
   for (const TaskPtr& orphan : scheduler_->drain(worker.desc.id)) {
-    if (has_eligible_worker(*orphan)) {
-      ready.push_back(orphan);  // caller re-dispatches outside the lock
-    } else {
-      try {
-        throw Error(ErrorCode::kUnsupported,
-                    "task '" + orphan->spec.name +
-                        "' lost its last eligible worker (device '" +
-                        worker.desc.profile.name + "' died)");
-      } catch (...) {
-        orphan->error = std::current_exception();
-      }
-      complete_locked(orphan, completed, ready);
-    }
+    reroute_orphan_locked(orphan, worker, completed, ready);
   }
+}
+
+void Engine::reroute_orphan_locked(const TaskPtr& orphan, const Worker& worker,
+                                   std::vector<TaskPtr>& completed,
+                                   std::vector<TaskPtr>& ready) {
+  if (has_eligible_worker(*orphan)) {
+    ready.push_back(orphan);  // caller re-dispatches outside the lock
+    return;
+  }
+  try {
+    throw Error(ErrorCode::kUnsupported,
+                "task '" + orphan->spec.name +
+                    "' lost its last eligible worker (device '" +
+                    worker.desc.profile.name + "' died)");
+  } catch (...) {
+    orphan->error = std::current_exception();
+  }
+  complete_locked(orphan, completed, ready);
 }
 
 VirtualTime Engine::worker_ready_at(WorkerId id) const {
@@ -1411,7 +1429,7 @@ double Engine::estimate_exec_seconds(const Task& task, const WorkerDesc& worker,
                                      std::uint64_t* samples) const {
   if (config_.use_history_models) {
     const PerfRegistry::HistoryQuery history = perf_.query(
-        task.spec.codelet->name(), impl.arch, task.footprint, task.total_bytes,
+        *task.spec.codelet, impl.arch, task.footprint, task.total_bytes,
         static_cast<std::uint64_t>(config_.calibration_samples));
     if (samples != nullptr) {
       // A variant with a usable regression fit does not need per-size
@@ -1543,10 +1561,10 @@ WorkerStats Engine::worker_stats(WorkerId id) const {
 
 std::array<std::uint64_t, kArchCount> Engine::arch_task_counts() const {
   std::array<std::uint64_t, kArchCount> counts{};
-  for (int a = 0; a < kArchCount; ++a) {
-    counts[static_cast<std::size_t>(a)] =
-        arch_counts_[static_cast<std::size_t>(a)].load(
-            std::memory_order_relaxed);
+  for (const auto& worker : workers_) {
+    for (std::size_t a = 0; a < counts.size(); ++a) {
+      counts[a] += worker->arch_tasks[a].load(std::memory_order_relaxed);
+    }
   }
   return counts;
 }
@@ -1575,8 +1593,7 @@ FaultStats Engine::fault_stats() const {
 bool Engine::worker_blacklisted(WorkerId id) const {
   check(id >= 0 && id < static_cast<WorkerId>(workers_.size()),
         "worker_blacklisted: bad worker id");
-  return blacklisted_[static_cast<std::size_t>(id)].load(
-      std::memory_order_acquire);
+  return is_blacklisted(id);
 }
 
 std::vector<ShadowRecord> Engine::shadow_log() const {

@@ -375,10 +375,12 @@ class Engine {
 
     /// Virtual clock and execution counters. Atomics so schedulers and
     /// introspection read them without any engine lock; written only by
-    /// the owning worker thread (and reset_virtual_time, which quiesces
-    /// first).
+    /// the thread holding run_mutex (and reset_virtual_time, which
+    /// quiesces first).
     std::atomic<VirtualTime> vtime{0.0};
     std::atomic<std::uint64_t> tasks_executed{0};
+    /// Successful executions per architecture (arch_task_counts()).
+    std::array<std::atomic<std::uint64_t>, kArchCount> arch_tasks{};
     std::atomic<std::uint64_t> failed_attempts{0};
     std::atomic<double> busy_vtime{0.0};
     std::atomic<double> energy_joules{0.0};
@@ -487,12 +489,38 @@ class Engine {
 
   bool has_eligible_worker(const Task& task) const;
 
+  /// Task::eligible_workers for the task's current exclusions.
+  std::uint64_t eligible_workers_of(const Task& task) const;
+
+  /// Workers 0-63 not blacklisted.
+  std::uint64_t live_workers() const noexcept {
+    return ~blacklisted_[0].load(std::memory_order_acquire);
+  }
+
+  bool is_blacklisted(WorkerId id) const noexcept {
+    const auto w = static_cast<std::size_t>(id);
+    return (blacklisted_[w / 64].load(std::memory_order_acquire) >> (w % 64)) & 1;
+  }
+
   /// Marks `worker` dead, drains its scheduler queue and collects what can
   /// still run elsewhere into `ready`; tasks with no eligible worker left
   /// complete as failed (appended to `completed`). Caller holds
   /// graph_mutex_.
   void blacklist_worker_locked(Worker& worker, std::vector<TaskPtr>& completed,
                                std::vector<TaskPtr>& ready);
+
+  /// Routes a task queued on the dead `worker`: into `ready` while a live
+  /// worker can still run it, else failed into `completed`. Caller holds
+  /// graph_mutex_.
+  void reroute_orphan_locked(const TaskPtr& orphan, const Worker& worker,
+                             std::vector<TaskPtr>& completed,
+                             std::vector<TaskPtr>& ready);
+
+  /// The tail of every execution: dispatches `ready`, wakes the waiters of
+  /// `completed`, runs their callbacks and retires them from inflight_;
+  /// leaves both lists empty.
+  void finish_execution(std::vector<TaskPtr>& completed,
+                        std::vector<TaskPtr>& ready, bool* self_claim);
 
   /// Enabled implementation the worker would run for this task (respecting
   /// forced_arch and the task's excluded architectures); nullptr if none.
@@ -610,8 +638,8 @@ class Engine {
   std::atomic<std::uint64_t> inflight_{0};
   std::atomic<VirtualTime> makespan_{0.0};
 
-  std::array<std::atomic<std::uint64_t>, kArchCount> arch_counts_{};
-  std::unique_ptr<std::atomic<bool>[]> blacklisted_;  ///< per worker
+  /// Blacklist bitset: bit w % 64 of word w / 64 is set once worker w died.
+  std::unique_ptr<std::atomic<std::uint64_t>[]> blacklisted_;
   FaultCounters fault_counters_;
   std::atomic<std::size_t> wake_rr_{0};  ///< round-robin wake start point
 

@@ -177,12 +177,39 @@ MemoryNodeId DataHandle::pick_source_locked(MemoryNodeId node) const {
 
 void* DataHandle::acquire(MemoryNodeId node, AccessMode mode,
                           VirtualTime* data_ready) {
+  if (mode == AccessMode::kRead) {
+    if (void* ptr = acquire_resident_read(node, data_ready)) return ptr;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   void* ptr = acquire_locked(node, mode, data_ready);
   if (node != kHostNode) {
-    ++replicas_[static_cast<std::size_t>(node)].pins;  // until release(node)
+    // Until release(node); raised under the lock so try_evict sees it.
+    replicas_[static_cast<std::size_t>(node)].pins.fetch_add(
+        1, std::memory_order_relaxed);
   }
   return ptr;
+}
+
+void* DataHandle::acquire_resident_read(MemoryNodeId node,
+                                        VirtualTime* data_ready) {
+  if (node >= 64 || !shadow_.empty() ||
+      partitioned_.load(std::memory_order_acquire) ||
+      detached_.load(std::memory_order_acquire)) {
+    return nullptr;
+  }
+  Replica& replica = replicas_[static_cast<std::size_t>(node)];
+  const bool pinned = node != kHostNode;
+  if (pinned) replica.pins.fetch_add(1, std::memory_order_seq_cst);
+  if (((valid_mask_.load(std::memory_order_seq_cst) >> node) & 1) == 0) {
+    if (pinned) replica.pins.fetch_sub(1, std::memory_order_relaxed);
+    return nullptr;
+  }
+  // The replica stays valid while pinned: writers of this handle are
+  // ordered after this task's release by their dependencies, and the
+  // prefetch path only ever validates other replicas.
+  note_read_use();
+  if (data_ready != nullptr) *data_ready = replica.valid_at;
+  return replica.ptr;
 }
 
 bool DataHandle::prefetch(MemoryNodeId node) {
@@ -240,7 +267,7 @@ void* DataHandle::acquire_locked(MemoryNodeId node, AccessMode mode,
     replica.state = ReplicaState::kOwned;
     ++writes_outstanding_;  // until mark_written
   } else {
-    ++read_uses_;
+    note_read_use();
   }
 
   shadow_transition_locked("acquire", node, mode);
@@ -251,10 +278,21 @@ void* DataHandle::acquire_locked(MemoryNodeId node, AccessMode mode,
 
 void DataHandle::release(MemoryNodeId node) {
   if (node == kHostNode) return;  // host replicas are never evicted
+  unpin(node);
+}
+
+void DataHandle::release_written(MemoryNodeId node, VirtualTime vend) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Replica& replica = replicas_[static_cast<std::size_t>(node)];
-  check(replica.pins > 0, "release without matching acquire");
-  --replica.pins;
+  mark_written_locked(node, vend);
+  if (node != kHostNode) unpin(node);
+}
+
+void DataHandle::unpin(MemoryNodeId node) {
+  // Release order: the task's use of the replica happens before an
+  // evictor's (acquire) read of the lowered count.
+  const int pins = replicas_[static_cast<std::size_t>(node)].pins.fetch_sub(
+      1, std::memory_order_release);
+  check(pins > 0, "release without matching acquire");
 }
 
 bool DataHandle::try_evict(MemoryNodeId node) {
@@ -264,9 +302,21 @@ bool DataHandle::try_evict(MemoryNodeId node) {
   std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
   if (!lock.owns_lock()) return false;
   Replica& replica = replicas_[static_cast<std::size_t>(node)];
-  if (replica.storage == nullptr || replica.pins > 0) return false;
+  if (replica.storage == nullptr) return false;
   for (const auto& weak_child : children_) {
     if (!weak_child.expired()) return false;  // parent blocked by partition
+  }
+  // Hide the replica from acquire_resident_read before reading the pins:
+  // that path pins first and then checks the mask, so either it sees the
+  // replica gone or this sees its pin.
+  if (node < 64) {
+    valid_mask_.store(valid_mask_.load(std::memory_order_relaxed) &
+                          ~(std::uint64_t{1} << node),
+                      std::memory_order_seq_cst);
+  }
+  if (replica.pins.load(std::memory_order_seq_cst) > 0) {
+    publish_states_locked();
+    return false;
   }
   const bool detached = detached_.load(std::memory_order_relaxed);
   if (replica.state == ReplicaState::kOwned && !detached) {
@@ -292,6 +342,10 @@ bool DataHandle::try_evict(MemoryNodeId node) {
 
 void DataHandle::mark_written(MemoryNodeId node, VirtualTime vend) {
   std::lock_guard<std::mutex> lock(mutex_);
+  mark_written_locked(node, vend);
+}
+
+void DataHandle::mark_written_locked(MemoryNodeId node, VirtualTime vend) {
   Replica& replica = replicas_[static_cast<std::size_t>(node)];
   check(replica.state == ReplicaState::kOwned,
         "mark_written on a non-owned replica");
@@ -320,9 +374,10 @@ double DataHandle::estimate_fetch_seconds(MemoryNodeId node,
   // reuse (see the header comment); the per-transfer link latency is
   // always paid in full — otherwise chained fine-grained tasks would
   // rate a ping-pong placement as free.
+  const std::uint32_t read_uses = read_uses_.load(std::memory_order_relaxed);
   const double reuse =
-      (mode == AccessMode::kRead && read_uses_ > 1)
-          ? static_cast<double>(std::min<std::uint64_t>(read_uses_, 64))
+      (mode == AccessMode::kRead && read_uses > 1)
+          ? static_cast<double>(std::min(read_uses, kReuseCap))
           : 1.0;
   // Sum the per-hop cost along the canonical route from the nearest valid
   // source; each hop is priced by its own link (PCIe within a node, the
@@ -342,11 +397,6 @@ double DataHandle::estimate_fetch_seconds(MemoryNodeId node,
     cur = hop_to;
   }
   return total;
-}
-
-std::uint64_t DataHandle::read_uses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return read_uses_;
 }
 
 MemoryNodeId DataHandle::preferred_source() const {

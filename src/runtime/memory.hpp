@@ -18,6 +18,7 @@
 #include <mutex>
 #include <vector>
 
+#include "runtime/task.hpp"
 #include "runtime/topology.hpp"
 #include "runtime/types.hpp"
 #include "sim/device.hpp"
@@ -25,7 +26,6 @@
 
 namespace peppher::rt {
 
-class Task;
 class DataManager;
 class Tracer;
 
@@ -95,13 +95,20 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   /// returns via `data_ready` the virtual time at which the data is valid
   /// on `node`. Device replicas are *pinned* until release(node) — pinned
   /// replicas are never evicted under memory pressure. Thread safe per
-  /// handle.
+  /// handle. A read of a replica that is already valid takes no lock (see
+  /// acquire_resident_read).
   void* acquire(MemoryNodeId node, AccessMode mode, VirtualTime* data_ready);
 
   /// Unpins the replica on `node` (one release per acquire). The data stays
   /// resident (§IV-H) but becomes evictable if the device runs short of
-  /// memory (§IV-D).
+  /// memory (§IV-D). Lock-free: the pin count is atomic, and try_evict
+  /// reads it under the handle lock, where a stale non-zero count only
+  /// skips an eviction.
   void release(MemoryNodeId node);
+
+  /// mark_written(node, vend) and release(node) under one lock: how a task
+  /// ends a write-mode acquire.
+  void release_written(MemoryNodeId node, VirtualTime vend);
 
   /// Tries to drop this handle's replica on `node` to free device memory:
   /// fails if the replica is pinned, invalid, host-side, or this handle is
@@ -138,9 +145,6 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   /// no single task can justify.
   double estimate_fetch_seconds(MemoryNodeId node, AccessMode mode) const;
 
-  /// Number of task executions that read this handle (kRead mode).
-  std::uint64_t read_uses() const;
-
   /// Where a valid replica currently lives (host preferred); kHostNode if
   /// the handle was never touched.
   MemoryNodeId preferred_source() const;
@@ -174,12 +178,12 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
 
   // -- dependency metadata (used by the Engine under its submission lock) ---
 
-  std::shared_ptr<Task> last_writer;
+  TaskPtr last_writer;
   /// Readers submitted since the last write that the next writer must
   /// order after. Successful readers that completed are pruned from the
   /// back as new readers arrive; `pruned_readers_vend` keeps the latest
   /// vend among them, which still bounds the next writer's start.
-  std::vector<std::shared_ptr<Task>> readers_since_last_write;
+  std::vector<TaskPtr> readers_since_last_write;
   VirtualTime pruned_readers_vend = 0.0;
 
  private:
@@ -192,7 +196,10 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
     std::unique_ptr<std::byte[]> storage;  ///< device nodes only
     void* ptr = nullptr;
     VirtualTime valid_at = 0.0;
-    int pins = 0;  ///< active acquires; pinned replicas are not evictable
+    /// Active acquires; pinned replicas are not evictable. Raised under
+    /// mutex_ or by acquire_resident_read (which then re-checks validity),
+    /// lowered by release() without the lock.
+    std::atomic<int> pins{0};
     int prefetch_pending = 0;  ///< queued background prefetches targeting here
   };
 
@@ -212,6 +219,28 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   /// acquire() without the lock and the pin. Caller holds mutex_.
   void* acquire_locked(MemoryNodeId node, AccessMode mode,
                        VirtualTime* data_ready);
+
+  /// acquire(node, kRead) of a replica that is valid already, without the
+  /// lock: pins the replica, then confirms in valid_mask_ that it is still
+  /// valid (try_evict hides a replica there before it reads the pins, so
+  /// one of the two sees the other). nullptr when the locked path must run
+  /// instead: replica not valid, node past the mask, handle partitioned or
+  /// detached, or shadow checking on.
+  void* acquire_resident_read(MemoryNodeId node, VirtualTime* data_ready);
+
+  /// Counts one task read for the reuse amortisation of
+  /// estimate_fetch_seconds, saturating at kReuseCap.
+  void note_read_use() noexcept {
+    if (read_uses_.load(std::memory_order_relaxed) < kReuseCap) {
+      read_uses_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  /// mark_written() without the lock. Caller holds mutex_.
+  void mark_written_locked(MemoryNodeId node, VirtualTime vend);
+
+  /// Drops one pin of the replica on `node` (not the host's).
+  void unpin(MemoryNodeId node);
 
   /// Republishes valid_mask_ from the replica states. Caller holds mutex_
   /// and calls it after every change of a replica state.
@@ -241,7 +270,10 @@ class DataHandle : public std::enable_shared_from_this<DataHandle> {
   std::atomic<std::uint64_t> valid_mask_{0};
   std::vector<ReplicaState> shadow_;  ///< empty unless shadow checking
 
-  std::uint64_t read_uses_ = 0;  ///< guarded by mutex_
+  /// Reads over which a fetch estimate amortises a read-only transfer.
+  static constexpr std::uint32_t kReuseCap = 64;
+  /// Task reads of this handle, counted up to kReuseCap.
+  std::atomic<std::uint32_t> read_uses_{0};
   /// Write-mode acquires not yet ended by mark_written. Guarded by mutex_.
   int writes_outstanding_ = 0;
 

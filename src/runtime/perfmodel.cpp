@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "runtime/codelet.hpp"
 #include "support/error.hpp"
 #include "support/fs.hpp"
 #include "support/strings.hpp"
@@ -50,6 +51,40 @@ std::uint64_t footprint_of(const std::vector<std::size_t>& operand_bytes) noexce
   };
   for (std::size_t bytes : operand_bytes) mix(bytes);
   return hash;
+}
+
+std::uint64_t FootprintCache::get(
+    const std::vector<std::size_t>& operand_bytes) const noexcept {
+  const std::size_t count = operand_bytes.size();
+  if (count > kMaxOperands) return footprint_of(operand_bytes);
+  // Entry fields are stored with release and loaded with acquire (plain
+  // moves on x86): a reader that sees any field of an update in progress
+  // therefore also sees its odd version on the re-check.
+  const std::uint32_t before = version_.load(std::memory_order_acquire);
+  if ((before & 1U) == 0 && count_.load(std::memory_order_acquire) == count) {
+    bool same = true;
+    for (std::size_t i = 0; i < count; ++i) {
+      same = same && bytes_[i].load(std::memory_order_acquire) == operand_bytes[i];
+    }
+    const std::uint64_t footprint = footprint_.load(std::memory_order_acquire);
+    if (same && version_.load(std::memory_order_relaxed) == before) {
+      return footprint;
+    }
+  }
+  const std::uint64_t footprint = footprint_of(operand_bytes);
+  std::uint32_t expected = before;
+  if ((before & 1U) == 0 &&
+      version_.compare_exchange_strong(expected, before + 1,
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+    count_.store(static_cast<std::uint32_t>(count), std::memory_order_release);
+    for (std::size_t i = 0; i < count; ++i) {
+      bytes_[i].store(operand_bytes[i], std::memory_order_release);
+    }
+    footprint_.store(footprint, std::memory_order_release);
+    version_.store(before + 2, std::memory_order_release);
+  }
+  return footprint;
 }
 
 // ---------------------------------------------------------------------------
@@ -211,6 +246,11 @@ std::optional<double> HistoryModel::expected(std::uint64_t footprint) const {
 std::uint64_t HistoryModel::sample_count(std::uint64_t footprint) const {
   auto it = entries_.find(footprint);
   return it == entries_.end() ? 0 : it->second.stats.count;
+}
+
+SampleStats HistoryModel::stats(std::uint64_t footprint) const {
+  auto it = entries_.find(footprint);
+  return it == entries_.end() ? SampleStats{} : it->second.stats;
 }
 
 std::optional<double> HistoryModel::regression_estimate(
@@ -553,6 +593,39 @@ void PerfRegistry::record(const std::string& codelet, Arch arch,
   it->second.record(footprint, total_bytes, seconds);
 }
 
+HistoryModel* PerfRegistry::slot_model(std::uint64_t codelet_id,
+                                       Arch arch) const noexcept {
+  for (const Slot& slot : slots_) {
+    if (slot.codelet_id == codelet_id) {
+      return slot.models[static_cast<std::size_t>(arch)];
+    }
+  }
+  return nullptr;
+}
+
+void PerfRegistry::record(const Codelet& codelet, Arch arch,
+                          std::uint64_t footprint, std::size_t total_bytes,
+                          double seconds) {
+  std::lock_guard<std::shared_mutex> lock(mutex_);
+  HistoryModel* model = slot_model(codelet.id(), arch);
+  if (model == nullptr) {
+    const std::string& name = codelet.name();
+    auto it = models_.find(KeyView{name, static_cast<int>(arch)});
+    if (it == models_.end()) {
+      it = models_.try_emplace(Key{name, static_cast<int>(arch)}).first;
+    }
+    model = &it->second;
+    auto slot = std::find_if(slots_.begin(), slots_.end(), [&](const Slot& s) {
+      return s.codelet_id == codelet.id();
+    });
+    if (slot == slots_.end() && slots_.size() < kMaxSlots) {
+      slot = slots_.insert(slots_.end(), Slot{codelet.id(), {}});
+    }
+    if (slot != slots_.end()) slot->models[static_cast<std::size_t>(arch)] = model;
+  }
+  model->record(footprint, total_bytes, seconds);
+}
+
 std::optional<double> PerfRegistry::expected(const std::string& codelet, Arch arch,
                                              std::uint64_t footprint) const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
@@ -579,14 +652,33 @@ std::optional<double> PerfRegistry::regression_estimate(
 PerfRegistry::HistoryQuery PerfRegistry::query(
     const std::string& codelet, Arch arch, std::uint64_t footprint,
     std::size_t total_bytes, std::uint64_t calibration_min) const {
-  HistoryQuery out;
   std::shared_lock<std::shared_mutex> lock(mutex_);
   auto it = models_.find(KeyView{codelet, static_cast<int>(arch)});
-  if (it == models_.end()) return out;
-  const HistoryModel& model = it->second;
-  out.samples = model.sample_count(footprint);
+  if (it == models_.end()) return {};
+  return query_model(it->second, footprint, total_bytes, calibration_min);
+}
+
+PerfRegistry::HistoryQuery PerfRegistry::query(
+    const Codelet& codelet, Arch arch, std::uint64_t footprint,
+    std::size_t total_bytes, std::uint64_t calibration_min) const {
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  const HistoryModel* model = slot_model(codelet.id(), arch);
+  if (model == nullptr) {
+    auto it = models_.find(KeyView{codelet.name(), static_cast<int>(arch)});
+    if (it == models_.end()) return {};
+    model = &it->second;
+  }
+  return query_model(*model, footprint, total_bytes, calibration_min);
+}
+
+PerfRegistry::HistoryQuery PerfRegistry::query_model(
+    const HistoryModel& model, std::uint64_t footprint,
+    std::size_t total_bytes, std::uint64_t calibration_min) {
+  HistoryQuery out;
+  const SampleStats stats = model.stats(footprint);
+  out.samples = stats.count;
   if (out.samples >= calibration_min && out.samples > 0) {
-    out.exec = model.expected(footprint);
+    out.exec = stats.mean;
     return out;
   }
   out.exec = model.regression_estimate(total_bytes);
@@ -637,6 +729,7 @@ void PerfRegistry::load(const std::filesystem::path& dir) {
       models_[key].deserialize(fs::read_file(path));
     } catch (const ParseError& e) {
       models_.erase(key);  // never keep a half-parsed model
+      slots_.clear();
       std::string message = e.what();
       const std::string prefix(to_string(ErrorCode::kParseError));
       if (strings::starts_with(message, prefix + ": ")) {
@@ -650,6 +743,7 @@ void PerfRegistry::load(const std::filesystem::path& dir) {
 void PerfRegistry::clear() {
   std::lock_guard<std::shared_mutex> lock(mutex_);
   models_.clear();
+  slots_.clear();
 }
 
 std::vector<PerfRegistry::ModelInfo> PerfRegistry::list() const {

@@ -20,6 +20,8 @@
 #pragma once
 
 #include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -35,6 +37,8 @@
 #include "runtime/types.hpp"
 
 namespace peppher::rt {
+
+class Codelet;
 
 /// Welford online mean/variance accumulator.
 struct SampleStats {
@@ -52,6 +56,35 @@ struct SampleStats {
 /// Stable footprint of a task's operand sizes (order-sensitive FNV-1a), the
 /// history-table key.
 std::uint64_t footprint_of(const std::vector<std::size_t>& operand_bytes) noexcept;
+
+/// footprint_of() memoised for one operand-size vector, the one a codelet
+/// is submitted with over and over: a hit costs one compare of at most
+/// kMaxOperands sizes instead of hashing every byte. The entry is a pure
+/// function of the sizes, so it is shared by every engine and thread that
+/// submits the codelet. Lock-free: a sequence counter (odd while an update
+/// is in progress) guards the entry, so a reader that races an update
+/// recomputes instead of using a torn entry. A copy starts empty; an
+/// assignment keeps the entry, which holds for any codelet.
+class FootprintCache {
+ public:
+  static constexpr std::size_t kMaxOperands = 8;
+
+  FootprintCache() = default;
+  FootprintCache(const FootprintCache&) noexcept {}
+  FootprintCache& operator=(const FootprintCache&) noexcept { return *this; }
+
+  /// footprint_of(operand_bytes); remembers the answer for the next call
+  /// unless another thread is updating the entry at the same moment.
+  std::uint64_t get(const std::vector<std::size_t>& operand_bytes) const noexcept;
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  mutable std::atomic<std::uint32_t> version_{0};
+  mutable std::atomic<std::uint32_t> count_{kEmpty};
+  mutable std::array<std::atomic<std::size_t>, kMaxOperands> bytes_{};
+  mutable std::atomic<std::uint64_t> footprint_{0};
+};
 
 /// One candidate basis function of a multi-term model, evaluated over the
 /// task's total operand byte count n.
@@ -120,6 +153,10 @@ class HistoryModel {
   /// Number of samples recorded for this exact footprint.
   std::uint64_t sample_count(std::uint64_t footprint) const;
 
+  /// The samples at this exact footprint (count 0 when unseen): what
+  /// sample_count() and expected() report, from one lookup.
+  SampleStats stats(std::uint64_t footprint) const;
+
   /// Power-law estimate time = a * bytes^b fitted over all footprints with
   /// at least one sample. Requires >= 4 distinct footprint sizes; nullopt
   /// otherwise.
@@ -181,6 +218,12 @@ class PerfRegistry {
   void record(const std::string& codelet, Arch arch, std::uint64_t footprint,
               std::size_t total_bytes, double seconds);
 
+  /// record() by codelet object: the engine's per-task path. Resolves the
+  /// codelet's model once and keeps the slot (see slots_), so later calls
+  /// do no string work.
+  void record(const Codelet& codelet, Arch arch, std::uint64_t footprint,
+              std::size_t total_bytes, double seconds);
+
   std::optional<double> expected(const std::string& codelet, Arch arch,
                                  std::uint64_t footprint) const;
 
@@ -208,6 +251,12 @@ class PerfRegistry {
   /// every recorded footprint) runs only when the exact footprint is not
   /// calibrated.
   HistoryQuery query(const std::string& codelet, Arch arch,
+                     std::uint64_t footprint, std::size_t total_bytes,
+                     std::uint64_t calibration_min) const;
+
+  /// query() by codelet object, through the slot record() resolved (the
+  /// name lookup until the codelet's first record on `arch`).
+  HistoryQuery query(const Codelet& codelet, Arch arch,
                      std::uint64_t footprint, std::size_t total_bytes,
                      std::uint64_t calibration_min) const;
 
@@ -269,8 +318,32 @@ class PerfRegistry {
       return order < 0 || (order == 0 && a.second < b.second);
     }
   };
+  /// The models of one codelet object, by architecture (nullptr = not yet
+  /// resolved). Keyed by Codelet::id(), which copies of a codelet share
+  /// along with its name.
+  struct Slot {
+    std::uint64_t codelet_id = 0;
+    std::array<HistoryModel*, kArchCount> models{};
+  };
+  /// Codelets past this many fall back to the name lookup.
+  static constexpr std::size_t kMaxSlots = 32;
+
+  /// Model of (codelet, arch) through its slot, or nullptr when the slot
+  /// is not resolved. Caller holds mutex_ (shared or exclusive).
+  HistoryModel* slot_model(std::uint64_t codelet_id, Arch arch) const noexcept;
+
+  /// HistoryQuery of one model. Caller holds mutex_.
+  static HistoryQuery query_model(const HistoryModel& model,
+                                  std::uint64_t footprint,
+                                  std::size_t total_bytes,
+                                  std::uint64_t calibration_min);
+
   mutable std::shared_mutex mutex_;
   std::map<Key, HistoryModel, KeyLess> models_;
+  /// Resolved (codelet, arch) -> model pointers into models_ (map nodes
+  /// are stable). Filled by record(const Codelet&) under the exclusive
+  /// lock, dropped whenever a model is erased.
+  std::vector<Slot> slots_;
 };
 
 /// Static-composition dispatch table: per-program-point winning placements

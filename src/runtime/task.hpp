@@ -1,25 +1,79 @@
 // Tasks: one component invocation translated by a generated entry-wrapper
 // into a unit of work for the runtime. Tasks are stateless (the paper §II);
 // the data they operate on is carried by DataHandles.
+//
+// A Task is owned through TaskPtr, an intrusive reference count: no
+// separate control block, and a task whose last reference goes away is
+// recycled through a bounded per-thread free list instead of being
+// destroyed, so its operand-size and successor vectors keep their
+// capacity for the next submission (see Task::create).
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/codelet.hpp"
-#include "runtime/memory.hpp"
 #include "runtime/types.hpp"
 
 namespace peppher::rt {
+
+class DataHandle;
+using DataHandlePtr = std::shared_ptr<DataHandle>;
+
+class Task;
+
+/// Owning handle to a Task (intrusive reference count). Copying costs one
+/// atomic increment; the last release recycles the task. A TaskPtr may
+/// outlive the Engine that created it: the task stays readable and is
+/// recycled or freed by whichever thread drops it last.
+class TaskPtr {
+ public:
+  constexpr TaskPtr() noexcept = default;
+  constexpr TaskPtr(std::nullptr_t) noexcept {}
+  TaskPtr(const TaskPtr& other) noexcept;
+  TaskPtr(TaskPtr&& other) noexcept
+      : task_(std::exchange(other.task_, nullptr)) {}
+  TaskPtr& operator=(const TaskPtr& other) noexcept {
+    TaskPtr(other).swap(*this);
+    return *this;
+  }
+  TaskPtr& operator=(TaskPtr&& other) noexcept {
+    TaskPtr(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~TaskPtr();
+
+  Task* get() const noexcept { return task_; }
+  Task& operator*() const noexcept { return *task_; }
+  Task* operator->() const noexcept { return task_; }
+  explicit operator bool() const noexcept { return task_ != nullptr; }
+
+  void reset() noexcept { TaskPtr().swap(*this); }
+  void swap(TaskPtr& other) noexcept { std::swap(task_, other.task_); }
+
+  friend bool operator==(const TaskPtr& a, const TaskPtr& b) noexcept {
+    return a.task_ == b.task_;
+  }
+  friend bool operator==(const TaskPtr& a, std::nullptr_t) noexcept {
+    return a.task_ == nullptr;
+  }
+
+ private:
+  friend class Task;
+  /// Adopts one reference already counted on `task`.
+  explicit TaskPtr(Task* task) noexcept : task_(task) {}
+
+  Task* task_ = nullptr;
+};
 
 /// One data operand of a task.
 struct TaskOperand {
@@ -71,15 +125,21 @@ struct TaskSpec {
   std::function<void(const Task&)> on_complete;
 };
 
-/// A submitted task. Owned via shared_ptr by the engine, scheduler queues,
-/// and dependency edges.
+/// A submitted task. Owned via TaskPtr by the engine, scheduler queues,
+/// dependency edges and the application.
 class Task {
  public:
-  explicit Task(TaskSpec spec, std::uint64_t sequence)
-      : spec(std::move(spec)), sequence(sequence) {}
+  /// A task for `spec` with submission number `sequence`, in the state of
+  /// a fresh submission: taken from this thread's free list when it has
+  /// one (every field reset, vectors keeping their capacity), else newly
+  /// allocated.
+  static TaskPtr create(TaskSpec spec, std::uint64_t sequence);
+
+  Task(const Task&) = delete;
+  Task& operator=(const Task&) = delete;
 
   TaskSpec spec;
-  const std::uint64_t sequence;  ///< submission order, for determinism
+  std::uint64_t sequence = 0;  ///< submission order, for determinism
 
   // -- hot-path caches (computed once in Engine::submit, immutable after) ---
   //
@@ -119,9 +179,15 @@ class Task {
   /// post-blacklist re-dispatch never sees the dead worker's bit.
   std::uint64_t ready_eligible_mask = 0;
 
+  /// Workers 0-63 that have a variant for this task, with forced worker,
+  /// forced architecture and excluded architectures applied but blacklisting
+  /// not: computed at submission and after each failed attempt, so the
+  /// eligibility tests of dispatch and completion are one mask operation.
+  std::uint64_t eligible_workers = 0;
+
   // -- dependency bookkeeping (all guarded by the Engine's graph mutex) -----
   int unmet_dependencies = 0;
-  std::vector<std::shared_ptr<Task>> successors;
+  std::vector<TaskPtr> successors;
   VirtualTime max_pred_end = 0.0;  ///< latest vend among finished predecessors
 
   /// Sequence number of the successor task currently being linked against
@@ -166,12 +232,48 @@ class Task {
   bool failed() const noexcept { return error != nullptr; }
   WorkerId executed_on = -1;
   Arch executed_arch = Arch::kCpu;
-  std::string executed_impl;
+  /// Variant that ran the last attempt (nullptr before the first one).
+  /// Points into the codelet's variant list, like TaskSpec::codelet.
+  const Implementation* executed_variant = nullptr;
+  /// Name of executed_variant; empty before the first attempt.
+  const std::string& executed_impl() const noexcept;
   VirtualTime vstart = 0.0;
   VirtualTime vend = 0.0;
   double exec_seconds = 0.0;  ///< virtual execution time (excl. transfers)
+
+ private:
+  friend class TaskPtr;
+
+  Task() = default;
+  ~Task() = default;
+
+  /// Drops what the task holds (operands, argument, callback, error,
+  /// edges) and resets every field to its initial value; vectors keep
+  /// their capacity. Then parks the task on this thread's free list, or
+  /// deletes it when the list is full. Called on the last release.
+  static void recycle(Task* task) noexcept;
+
+  /// This thread's recycled tasks: a list linked through next_free_,
+  /// capped in length. Its destructor (thread exit) frees what it holds.
+  struct FreeList;
+  static thread_local FreeList t_free_;
+  /// Set once t_free_ is destroyed: later releases on this thread (static
+  /// destructors of the main thread) delete instead.
+  static thread_local bool t_free_gone_;
+
+  std::atomic<std::uint32_t> refs_{0};
+  Task* next_free_ = nullptr;  ///< free-list link while recycled
 };
 
-using TaskPtr = std::shared_ptr<Task>;
+inline TaskPtr::TaskPtr(const TaskPtr& other) noexcept : task_(other.task_) {
+  if (task_ != nullptr) task_->refs_.fetch_add(1, std::memory_order_relaxed);
+}
+
+inline TaskPtr::~TaskPtr() {
+  if (task_ != nullptr &&
+      task_->refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    Task::recycle(task_);
+  }
+}
 
 }  // namespace peppher::rt

@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 
+#include "runtime/memory.hpp"
 #include "runtime/task.hpp"
 #include "support/strings.hpp"
 
@@ -36,7 +37,7 @@ void Tracer::record(TaskRecord record) {
   tasks_.append(std::move(slot));
 }
 
-void Tracer::record_task(const std::shared_ptr<Task>& task,
+void Tracer::record_task(const TaskPtr& task,
                          const Implementation* impl, WorkerId worker,
                          int attempt, bool failed) {
   // Snapshot the per-attempt numerics now (a retry overwrites them on the

@@ -31,11 +31,11 @@
 #include <utility>
 #include <vector>
 
+#include "runtime/task.hpp"
 #include "runtime/types.hpp"
 
 namespace peppher::rt {
 
-class Task;
 struct Implementation;
 
 /// One task execution attempt. A task retried after a failed attempt emits
@@ -142,7 +142,7 @@ class Tracer {
 
   /// Hot-path task recording: snapshots the task's timing fields and keeps
   /// pointers instead of copying names (no allocation in the steady state).
-  void record_task(const std::shared_ptr<Task>& task,
+  void record_task(const TaskPtr& task,
                    const Implementation* impl, WorkerId worker, int attempt,
                    bool failed);
 
@@ -302,7 +302,7 @@ class Tracer {
   /// and ids when a snapshot is taken.
   struct TaskEventSlot {
     TaskRecord record;
-    std::shared_ptr<Task> task;
+    TaskPtr task;
     const Implementation* impl = nullptr;
     std::array<std::uint64_t, kInlineOperands> inline_data{};
     std::uint8_t inline_count = 0;

@@ -93,7 +93,7 @@ TEST_F(CoreApi, InvokeAsyncReturnsWaitableTask) {
                    std::shared_ptr<const void>(args, args.get()));
   engine().wait(task);
   EXPECT_EQ(task->state, rt::TaskState::kDone);
-  EXPECT_EQ(task->executed_impl, "core_doubler2_cpu");
+  EXPECT_EQ(task->executed_impl(), "core_doubler2_cpu");
 }
 
 TEST_F(CoreApi, CallOptionsForceArchitecture) {

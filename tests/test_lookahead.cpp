@@ -218,7 +218,7 @@ class LookaheadDifferential : public ::testing::Test {
   TaskPtr make_task() {
     TaskSpec spec;
     spec.codelet = &codelet_;
-    return std::make_shared<Task>(std::move(spec), next_seq_++);
+    return Task::create(std::move(spec), next_seq_++);
   }
 
   /// Pushes one task through `scheduler` and returns the worker whose

@@ -3,6 +3,7 @@
 // operations instead of 7 thanks to lazy smart-container coherence).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <numeric>
@@ -392,6 +393,40 @@ TEST_F(EvictionTest, EvictedDataIsRefetchedOnNextUse) {
   EXPECT_FLOAT_EQ(ptr[0], 1.0f);
   EXPECT_EQ(manager_.stats().host_to_device_count, before + 1);
   a->release(1);
+}
+
+TEST_F(EvictionTest, ResidentReadsRaceEvictionsSafely) {
+  // One thread keeps reading handle a on the device, mostly through the
+  // lock-free resident path; another alternates between b and c, and each
+  // of its allocations evicts whichever replica is unpinned (only one of
+  // the three fits). A read must never see its pinned replica freed or
+  // refilled under it.
+  std::vector<float> a_data, b_data, c_data;
+  auto a = make_handle(a_data, 192);  // 768 B each
+  auto b = make_handle(b_data, 192);
+  auto c = make_handle(c_data, 192);
+  std::fill(b_data.begin(), b_data.end(), 2.0f);
+  std::fill(c_data.begin(), c_data.end(), 3.0f);
+  constexpr int kRounds = 3000;
+  std::atomic<int> bad_reads{0};
+  const auto read = [&](const DataHandlePtr& handle, float expected) {
+    const auto* p =
+        static_cast<const float*>(handle->acquire(1, AccessMode::kRead, nullptr));
+    for (int k = 0; k < 192; ++k) {
+      if (p[k] != expected) bad_reads.fetch_add(1);
+    }
+    handle->release(1);
+  };
+  std::thread reader([&] {
+    for (int i = 0; i < kRounds; ++i) read(a, 1.0f);
+  });
+  std::thread evictor([&] {
+    for (int i = 0; i < kRounds; ++i) read(i % 2 == 0 ? b : c, i % 2 == 0 ? 2.0f : 3.0f);
+  });
+  reader.join();
+  evictor.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  EXPECT_GT(manager_.stats().evictions, 0u);
 }
 
 TEST_F(EvictionTest, DyingHandleReturnsItsAllocation) {

@@ -1,10 +1,12 @@
-// Performance-model tests: Welford statistics, footprints, history lookup,
-// power-law regression, persistence round-trips.
+// Performance-model tests: Welford statistics, footprints and their cache,
+// history lookup, per-codelet model slots, power-law regression,
+// persistence round-trips.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
 
+#include "runtime/engine.hpp"
 #include "runtime/perfmodel.hpp"
 #include "support/error.hpp"
 #include "support/fs.hpp"
@@ -36,6 +38,90 @@ TEST(Footprint, DistinguishesSizesAndOrder) {
   EXPECT_NE(footprint_of({100, 200}), footprint_of({200, 100}));
   EXPECT_EQ(footprint_of({100, 200}), footprint_of({100, 200}));
   EXPECT_NE(footprint_of({}), footprint_of({0}));
+}
+
+// Footprints key persisted .model files and peppher-dispatch v1 tables, so
+// their values must never change: these constants are FNV-1a over each size
+// as eight little-endian bytes.
+TEST(Footprint, PinnedToCommittedValues) {
+  EXPECT_EQ(footprint_of({}), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(footprint_of({0}), 0xa8c7f832281a39c5ULL);
+  EXPECT_EQ(footprint_of({100, 200}), 0xe2727c268a9ae4c9ULL);
+  // The ODE operand shapes of Figure 7 at n = 64: J, y, k and J, y, k1, k2, t.
+  EXPECT_EQ(footprint_of({16384, 256, 256}), 0xe421c6e8415512e5ULL);
+  EXPECT_EQ(footprint_of({16384, 256, 256, 256, 256}), 0xd2c6c0bf3e459ac5ULL);
+}
+
+TEST(FootprintCache, MissHitAndMissAgainMatchFootprintOf) {
+  const FootprintCache cache;
+  const std::vector<std::vector<std::size_t>> sizes = {
+      {16384, 256, 256}, {16384, 256, 256}, {256, 256},
+      {16384, 256, 256}, {},                {1, 2, 3, 4, 5, 6, 7, 8, 9}};
+  for (const auto& operand_bytes : sizes) {
+    EXPECT_EQ(cache.get(operand_bytes), footprint_of(operand_bytes));
+  }
+  // A copy starts empty and still answers correctly.
+  const FootprintCache copy = cache;
+  EXPECT_EQ(copy.get({256, 256}), footprint_of({256, 256}));
+}
+
+TEST(FootprintCache, EngineTaskFootprintFollowsChangingOperandSizes) {
+  EngineConfig config;
+  config.machine = sim::MachineConfig::cpu_only(1);
+  Engine engine(config);
+  Codelet codelet("footprint_probe");
+  codelet.add_impl(Implementation(Arch::kCpu, "footprint_probe_cpu",
+                                  [](ExecContext&) {}));
+  std::vector<float> small(16), large(64);
+  const DataHandlePtr a =
+      engine.register_buffer(small.data(), small.size() * sizeof(float), 4);
+  const DataHandlePtr b =
+      engine.register_buffer(large.data(), large.size() * sizeof(float), 4);
+  // The same codelet with operand sizes that miss, hit, miss and miss
+  // again in its one-entry cache.
+  const std::vector<std::vector<DataHandlePtr>> calls = {
+      {a, b}, {a, b}, {b, a}, {a}, {a, b}};
+  for (const auto& operands : calls) {
+    TaskSpec spec;
+    spec.codelet = &codelet;
+    for (const DataHandlePtr& handle : operands) {
+      spec.operands.push_back({handle, AccessMode::kRead});
+    }
+    const TaskPtr task = engine.submit(std::move(spec));
+    ASSERT_EQ(task->operand_bytes.size(), operands.size());
+    for (std::size_t i = 0; i < operands.size(); ++i) {
+      EXPECT_EQ(task->operand_bytes[i], operands[i]->bytes());
+    }
+    EXPECT_EQ(task->footprint, footprint_of(task->operand_bytes));
+  }
+  engine.wait_for_all();
+}
+
+TEST(PerfRegistry, CodeletSlotsAgreeWithNameLookups) {
+  PerfRegistry registry;
+  Codelet codelet("slot_probe");
+  const Codelet copy = codelet;  // same name, same models
+  Codelet other("slot_other");
+  registry.record(codelet, Arch::kCuda, 7, 100, 1.0);
+  registry.record(copy, Arch::kCuda, 7, 100, 3.0);
+  registry.record("slot_probe", Arch::kCuda, 7, 100, 2.0);
+  registry.record(other, Arch::kCpu, 7, 100, 9.0);
+  EXPECT_EQ(registry.sample_count("slot_probe", Arch::kCuda, 7), 3u);
+  EXPECT_DOUBLE_EQ(registry.expected("slot_probe", Arch::kCuda, 7).value(), 2.0);
+  const auto by_codelet = registry.query(codelet, Arch::kCuda, 7, 100, 2);
+  const auto by_name = registry.query("slot_probe", Arch::kCuda, 7, 100, 2);
+  EXPECT_EQ(by_codelet.samples, 3u);
+  EXPECT_EQ(by_codelet.samples, by_name.samples);
+  EXPECT_EQ(by_codelet.exec, by_name.exec);
+  EXPECT_FALSE(registry.query(codelet, Arch::kCpu, 7, 100, 2).exec.has_value());
+  EXPECT_EQ(registry.query(other, Arch::kCpu, 7, 100, 1).exec, 9.0);
+
+  // clear() drops the models and the slots that point at them.
+  registry.clear();
+  EXPECT_EQ(registry.query(codelet, Arch::kCuda, 7, 100, 1).samples, 0u);
+  registry.record(codelet, Arch::kCuda, 7, 100, 4.0);
+  EXPECT_EQ(registry.sample_count("slot_probe", Arch::kCuda, 7), 1u);
+  EXPECT_EQ(registry.query(codelet, Arch::kCuda, 7, 100, 1).exec, 4.0);
 }
 
 TEST(HistoryModel, ExactMatchReturnsMean) {

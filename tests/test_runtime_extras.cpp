@@ -561,7 +561,7 @@ TEST(Selectability, VariantWithFailingPredicateIsSkipped) {
     spec.forced_arch = rt::Arch::kCuda;
     spec.synchronous = true;
     rt::TaskPtr task = engine.submit(std::move(spec));
-    EXPECT_EQ(task->executed_impl, "constrained_cuda");
+    EXPECT_EQ(task->executed_impl(), "constrained_cuda");
   }
   // Unforced on the small operand: the scheduler falls back to the CPU.
   {
@@ -570,7 +570,7 @@ TEST(Selectability, VariantWithFailingPredicateIsSkipped) {
     spec.operands = {{h_small, rt::AccessMode::kReadWrite}};
     spec.synchronous = true;
     rt::TaskPtr task = engine.submit(std::move(spec));
-    EXPECT_EQ(task->executed_impl, "constrained_cpu");
+    EXPECT_EQ(task->executed_impl(), "constrained_cpu");
   }
 }
 

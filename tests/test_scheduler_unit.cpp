@@ -53,7 +53,7 @@ class SchedulerUnit : public ::testing::Test {
     TaskSpec spec;
     spec.codelet = &codelet_;
     spec.priority = priority;
-    return std::make_shared<Task>(std::move(spec), next_seq_++);
+    return Task::create(std::move(spec), next_seq_++);
   }
 
   std::vector<WorkerDesc> workers_;

@@ -16,9 +16,10 @@
 #                                           (the `bench-smoke` ctest)
 #
 # BENCH_task_overhead.json carries before/after numbers: "baseline" is the
-# committed pre-optimisation run (bench/baseline_task_overhead.json, taken
-# before the lock-light concurrency rework), "current" is this run, and
-# "speedup" is baseline/current per benchmark (wall real_time).
+# committed reference run (bench/baseline_task_overhead.json; its context
+# names the host, and it is re-taken whenever the file is re-captured on a
+# new host), "current" is this run, and "speedup" is baseline/current per
+# benchmark (wall real_time).
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -104,10 +105,10 @@ speedup = {
 }
 json.dump(
     {
-        "description": "per-task overhead, before/after the lock-light "
-                       "concurrency rework (µs wall time per benchmark "
-                       "iteration; Pipelined/Independent iterate 256-task "
-                       "batches)",
+        "description": "per-task overhead, the committed baseline run "
+                       "(bench/baseline_task_overhead.json) against this "
+                       "run (µs wall time per benchmark iteration; "
+                       "Pipelined/Independent iterate 256-task batches)",
         "baseline_context": baseline_doc.get("context", {}),
         "current_context": current_doc.get("context", {}),
         "baseline": baseline,
